@@ -28,10 +28,9 @@ lint:
 
 # The default verify path: vet, the determinism linter, the full suite,
 # the race detector over the two packages that deliver observer
-# callbacks (the netsim leg includes the parallel simulate property
-# tests, so the per-rack domain engine runs under the race detector),
-# and the parallel-analysis race leg (the task slots of the analyze
-# pipeline must stay disjoint).
+# callbacks (where an accidental goroutine would matter most), the
+# parallel-analysis race leg (the task slots of the analyze pipeline
+# must stay disjoint) and the fleet race leg.
 test: vet lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/netsim ./internal/sched
@@ -103,7 +102,8 @@ figures:
 day:
 	$(GO) run ./cmd/dcanalyze -racks 8 -servers 10 -duration 24h -tsv figures-day
 
-# Paper-scale (1500 servers, 24 h): minutes of wall clock, a few GB of RAM.
+# Paper-scale (1500 servers, 24 h): minutes of wall clock, 1.24 GB
+# measured peak heap (EXPERIMENTS.md, "Runtime").
 paper-day:
 	$(GO) run ./cmd/dcanalyze -paper -tsv figures-paper
 

@@ -1,8 +1,8 @@
 // dcsweep runs a sweep of simulate+analyze pipelines — seeds × fabrics
 // over one topology/duration — concurrently on the fleet executor: one
-// shared worker pool spans every run's simulator phases and analysis
-// tasks, and an admission gate caps in-flight runs by estimated peak
-// heap (derived from GOMEMLIMIT unless -max-heap-mb overrides it).
+// shared worker pool runs every run's analysis tasks, and an admission
+// gate caps in-flight runs by estimated peak heap (derived from
+// GOMEMLIMIT unless -max-heap-mb overrides it).
 // Per-run reports are bit-identical to standalone dcanalyze -fused at
 // any concurrency; the per-run digest in the manifest is the proof
 // handle.
@@ -35,7 +35,7 @@ func main() {
 	fabrics := flag.String("fabrics", "tree", "comma-separated fabrics to sweep: tree, multipath")
 	paper := flag.Bool("paper", false, "use the paper-scale configuration (75 racks x 20 servers, 24h) instead of -racks/-servers/-duration")
 	concurrency := flag.Int("n", 0, "pipelines in flight (0 = GOMAXPROCS)")
-	poolWorkers := flag.Int("pool", 0, "shared worker-pool size across all runs (0 = GOMAXPROCS)")
+	poolWorkers := flag.Int("pool", 0, "analysis worker-pool size shared by all runs (0 = GOMAXPROCS)")
 	maxHeapMB := flag.Int("max-heap-mb", 0, "in-flight estimated-heap budget in MiB (0 = 80% of GOMEMLIMIT when set, negative = no gate)")
 	metricsOut := flag.String("metrics", "", "write the merged fleet metrics snapshot (fleet.* + per-run runN.* + cross-run rollup) to this file")
 	jsonOut := flag.String("json", "", "write the machine-readable sweep manifest (config, digest, timing, peak-buffered per run) to this file")

@@ -184,8 +184,8 @@ func AnalyzeSource(ctx context.Context, src TraceSource, opts ...AnalyzeOption) 
 // pipeline: the simulator's completed flows stream through a
 // watermarked reorder buffer straight into the analysis sweep, so the
 // record-derived figures compute while the cluster still runs. The
-// report is bit-identical to Run followed by AnalyzeRun at every
-// worker-count combination. Cancellation of ctx, a simulation error,
+// report is bit-identical to Run followed by AnalyzeRun at any
+// analysis parallelism. Cancellation of ctx, a simulation error,
 // or an analysis error unwinds both phases before RunAnalyze returns.
 func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*RunResult, *Report, error) {
 	return core.RunAnalyze(ctx, cfg, opts...)
@@ -217,11 +217,9 @@ func WithAnalyzeTopology(top *topology.Topology) AnalyzeOption { return core.Wit
 func WithAnalyzeDuration(d Time) AnalyzeOption { return core.WithDuration(d) }
 
 // WithAnalyzeParallelism bounds the analysis worker goroutines
-// (0 = GOMAXPROCS). Any value yields bit-identical results.
+// (0 = GOMAXPROCS; 1 runs the pipeline on a single goroutine). Any
+// value yields bit-identical results.
 func WithAnalyzeParallelism(n int) AnalyzeOption { return core.WithParallelism(n) }
-
-// WithAnalyzeSequential forces the single-goroutine reference path.
-func WithAnalyzeSequential() AnalyzeOption { return core.WithSequential() }
 
 // WithAnalyzeObserver attaches a metrics registry to the analysis
 // pipeline.

@@ -47,7 +47,7 @@ type analyzeConfig struct {
 	// exec, when non-nil, runs analysis tasks on a caller-provided
 	// shared pool instead of per-analysis goroutines (see
 	// WithTaskExecutor).
-	exec netsim.Executor
+	exec Executor
 }
 
 // WithRun supplies the run whose trace is being analyzed: its topology
@@ -77,7 +77,7 @@ func WithDuration(d netsim.Time) AnalyzeOption {
 
 // WithParallelism bounds the analysis worker goroutines. 0 means
 // runtime.GOMAXPROCS(0), clamped to 1 on a single-proc box (see
-// defaultParallelism). Any value yields bit-identical results (see
+// DefaultParallelism). Any value yields bit-identical results (see
 // parallel.go's determinism contract).
 func WithParallelism(n int) AnalyzeOption {
 	return func(c *analyzeConfig) { c.Parallelism = n }
@@ -91,14 +91,8 @@ func WithParallelism(n int) AnalyzeOption {
 // memory bound), and results stay bit-identical: tasks keep their
 // disjoint slots and the coordinator still merges in submission order.
 // Ignored when the effective parallelism is 1.
-func WithTaskExecutor(ex netsim.Executor) AnalyzeOption {
+func WithTaskExecutor(ex Executor) AnalyzeOption {
 	return func(c *analyzeConfig) { c.exec = ex }
-}
-
-// WithSequential forces Parallelism 1 — the debugging escape hatch.
-// The same windowed algorithm runs inline, so results are identical.
-func WithSequential() AnalyzeOption {
-	return func(c *analyzeConfig) { c.Sequential = true }
 }
 
 // WithAnalysisObserver attaches a metrics registry. (WithObserver is
@@ -283,6 +277,7 @@ type streamAnalysis struct {
 	src    trace.Source
 	peeked *trace.FlowRecord
 	eof    bool
+	nRead  int // records read from src so far
 	wv     *trace.WindowView
 
 	wins   []figWindow
@@ -384,11 +379,8 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 	}
 
 	workers := cfg.Parallelism
-	if cfg.Sequential {
-		workers = 1
-	}
 	if workers <= 0 {
-		workers = defaultParallelism()
+		workers = DefaultParallelism()
 	}
 	reg := cfg.Observer
 
@@ -580,6 +572,10 @@ func (a *streamAnalysis) advance(boundary netsim.Time) error {
 			if err != nil {
 				return fmt.Errorf("source: %w", err)
 			}
+			if err := a.checkRecord(&rec); err != nil {
+				return err
+			}
+			a.nRead++
 			a.peeked = &rec
 		}
 		if a.peeked.Start >= boundary {
@@ -592,6 +588,20 @@ func (a *streamAnalysis) advance(boundary netsim.Time) error {
 		}
 	}
 	a.wv.Seal(boundary)
+	return nil
+}
+
+// checkRecord rejects a record no run on the topology could have
+// produced: an endpoint outside it, or an end before the start. The
+// error names the record by its 0-based index in source order.
+func (a *streamAnalysis) checkRecord(r *trace.FlowRecord) error {
+	h := topology.ServerID(a.numHosts)
+	if r.Src < 0 || r.Src >= h || r.Dst < 0 || r.Dst >= h {
+		return fmt.Errorf("record %d: endpoints %d -> %d outside the %d-host topology", a.nRead, r.Src, r.Dst, a.numHosts)
+	}
+	if r.End < r.Start {
+		return fmt.Errorf("record %d: end %v before start %v", a.nRead, r.End, r.Start)
+	}
 	return nil
 }
 

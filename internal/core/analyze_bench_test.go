@@ -39,7 +39,7 @@ func BenchmarkAnalyzeSmall(b *testing.B) {
 	rr := benchSim(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeRun(context.Background(), rr, WithSequential()); err != nil {
+		if _, err := AnalyzeRun(context.Background(), rr, WithParallelism(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -39,7 +39,7 @@ func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 // Figures 5–8, attribution, tomography, overhead) waits for the drain.
 // End-to-end wall clock approaches max(simulate, analyze) instead of
 // their sum, and the report is bit-identical to Run followed by
-// AnalyzeRun at any worker count on either side (enforced by
+// AnalyzeRun at any analysis worker count (enforced by
 // TestRunAnalyzeMatchesTwoPhase).
 //
 // Options: analysis options apply as in AnalyzeSource; WithRunOptions

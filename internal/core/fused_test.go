@@ -22,9 +22,9 @@ func fusedTestConfig(seed uint64) RunConfig {
 
 // TestRunAnalyzeMatchesTwoPhase is the acceptance gate of the fused
 // pipeline: RunAnalyze's report must be bit-identical to the two-phase
-// simulate → materialize → analyze path, across seeds, GOMAXPROCS, the
-// simulator's worker count, and the analyzer's worker count — including
-// a leg with a tiny live buffer that forces backpressure stalls.
+// simulate → materialize → analyze path, across seeds, GOMAXPROCS and
+// the analyzer's worker count — including legs with a tiny live buffer
+// that forces backpressure stalls.
 func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a matrix of full simulations")
@@ -35,44 +35,45 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := reportDigest(t, mustAnalyze(t, rr, WithSequential()))
+		want := reportDigest(t, mustAnalyze(t, rr, WithParallelism(1)))
 
 		prev := runtime.GOMAXPROCS(0)
-		matrix := [][2]int{{1, 1}, {1, runtime.NumCPU()}, {runtime.NumCPU(), 1}, {runtime.NumCPU(), runtime.NumCPU()}}
+		type leg struct {
+			gmp     int
+			tinyBuf bool
+		}
+		matrix := []leg{{1, true}, {1, false}, {runtime.NumCPU(), true}, {runtime.NumCPU(), false}}
 		if seed != 1 {
-			matrix = [][2]int{{runtime.NumCPU(), runtime.NumCPU()}} // cross-seed spot check
+			matrix = []leg{{runtime.NumCPU(), false}} // cross-seed spot check
 		}
 		for _, m := range matrix {
-			gmp, simWorkers := m[0], m[1]
-			runtime.GOMAXPROCS(gmp)
-			fcfg := cfg
-			fcfg.Workers = simWorkers
+			runtime.GOMAXPROCS(m.gmp)
 			opts := []AnalyzeOption{WithParallelism(8)}
-			if simWorkers == 1 {
+			if m.tinyBuf {
 				// A 256-record FIFO guarantees the simulator blocks on the
 				// analyzer repeatedly; results must not change.
 				opts = append(opts, WithLiveBuffer(256))
 			}
-			_, rep, err := RunAnalyze(context.Background(), fcfg, opts...)
+			_, rep, err := RunAnalyze(context.Background(), cfg, opts...)
 			if err != nil {
 				runtime.GOMAXPROCS(prev)
-				t.Fatalf("seed %d GOMAXPROCS=%d workers=%d: %v", seed, gmp, simWorkers, err)
+				t.Fatalf("seed %d GOMAXPROCS=%d tinyBuf=%v: %v", seed, m.gmp, m.tinyBuf, err)
 			}
 			if got := reportDigest(t, rep); got != want {
 				runtime.GOMAXPROCS(prev)
-				t.Fatalf("seed %d GOMAXPROCS=%d workers=%d: fused digest %s != two-phase %s",
-					seed, gmp, simWorkers, got, want)
+				t.Fatalf("seed %d GOMAXPROCS=%d tinyBuf=%v: fused digest %s != two-phase %s",
+					seed, m.gmp, m.tinyBuf, got, want)
 			}
 		}
 		runtime.GOMAXPROCS(prev)
 
-		// The sequential-analyzer escape hatch through the fused path.
-		_, rep, err := RunAnalyze(context.Background(), cfg, WithSequential())
+		// The single-worker analyzer through the fused path.
+		_, rep, err := RunAnalyze(context.Background(), cfg, WithParallelism(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := reportDigest(t, rep); got != want {
-			t.Fatalf("seed %d: sequential fused digest %s != two-phase %s", seed, got, want)
+			t.Fatalf("seed %d: single-worker fused digest %s != two-phase %s", seed, got, want)
 		}
 	}
 }

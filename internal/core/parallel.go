@@ -5,16 +5,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"dctraffic/internal/netsim"
 )
 
-// defaultParallelism resolves a zero Parallelism option: GOMAXPROCS,
-// clamped to 1 on a single-proc box so the streaming pool (and its
-// channel handoffs) is never spun up when there is no parallelism to
-// buy with it. Mirrors netsim.DefaultWorkers; an explicit
-// WithParallelism is always honored unchanged.
-func defaultParallelism() int {
+// DefaultParallelism resolves a zero worker count — the analysis
+// pipeline's Parallelism, and the fleet's concurrency and pool size:
+// GOMAXPROCS, clamped to 1 on a single-proc box so no pool (and none of
+// its channel handoffs) is spun up when there is no parallelism to buy
+// with it. An explicit count is always honored unchanged.
+func DefaultParallelism() int {
 	if p := runtime.GOMAXPROCS(0); p > 1 {
 		return p
 	}
@@ -142,12 +140,23 @@ const maxRecordShards = 32
 type streamPool struct {
 	ctx    context.Context
 	seq    bool
-	exec   netsim.Executor // external shared pool; nil → own goroutines
-	sem    chan struct{}   // exec mode: caps in-flight tasks at workers
+	exec   Executor      // external shared pool; nil → own goroutines
+	sem    chan struct{} // exec mode: caps in-flight tasks at workers
 	tasks  chan func()
 	wg     sync.WaitGroup
 	failed atomic.Pointer[poolPanic]
 	waited bool
+}
+
+// Executor runs functions on a caller-provided worker pool. A batch
+// executor (internal/fleet) injects one shared Executor into many
+// concurrent analyses via WithTaskExecutor so their tasks compete for a
+// single core budget instead of each analysis spawning its own
+// goroutines. Go must run fn exactly once, asynchronously, and must
+// never drop it. The closures the pipeline submits never block on the
+// Executor themselves, so a bounded pool cannot deadlock on them.
+type Executor interface {
+	Go(fn func())
 }
 
 // poolPanic boxes the first task panic for re-raising on the caller.
@@ -166,7 +175,7 @@ func newStreamPool(ctx context.Context, workers int) *streamPool {
 // a saturated pool still blocks the sweep. The ready-prefix merge
 // contract is unchanged (done channels close per task, merges happen on
 // the coordinator), so results are bit-identical across modes.
-func newStreamPoolExec(ctx context.Context, workers int, exec netsim.Executor) *streamPool {
+func newStreamPoolExec(ctx context.Context, workers int, exec Executor) *streamPool {
 	p := &streamPool{ctx: ctx}
 	if workers <= 1 {
 		p.seq = true

@@ -107,7 +107,7 @@ func reportDigest(t *testing.T, rep *Report) string {
 }
 
 // TestAnalyzeParallelDigestIdentity is the acceptance gate of the
-// deterministic-parallelism contract: the sequential escape hatch and
+// deterministic-parallelism contract: the single-worker pipeline and
 // the parallel pipeline must produce byte-identical reports, at
 // GOMAXPROCS=1 and at NumCPU, across seeds.
 func TestAnalyzeParallelDigestIdentity(t *testing.T) {
@@ -123,7 +123,7 @@ func TestAnalyzeParallelDigestIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq := reportDigest(t, mustAnalyze(t, rr, WithSequential()))
+		seq := reportDigest(t, mustAnalyze(t, rr, WithParallelism(1)))
 		prev := runtime.GOMAXPROCS(1)
 		par1 := reportDigest(t, mustAnalyze(t, rr, WithParallelism(8)))
 		runtime.GOMAXPROCS(runtime.NumCPU())
@@ -169,17 +169,18 @@ func TestAnalyzeContextCanceled(t *testing.T) {
 
 // The pipeline's observability: per-stage phases and counters land in
 // the caller's registry, and attaching one does not change results.
-// TestAnalyzeDefaultWorkersClamp pins the analysis side of the
-// default-workers heuristic: at GOMAXPROCS=1 the default parallelism
-// resolves to one worker (no pool goroutines, no channel handoffs) and
-// the report stays bit-identical to the explicit sequential path.
+// TestAnalyzeDefaultWorkersClamp pins the default-workers heuristic
+// (DefaultParallelism, shared by the analysis pipeline and the fleet):
+// at GOMAXPROCS=1 it resolves to one worker (no pool goroutines, no
+// channel handoffs) and the report stays bit-identical to the explicit
+// single-worker path.
 func TestAnalyzeDefaultWorkersClamp(t *testing.T) {
 	rr, _ := smallRun(t)
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 
-	if got := defaultParallelism(); got != 1 {
-		t.Fatalf("defaultParallelism at GOMAXPROCS=1 = %d, want 1", got)
+	if got := DefaultParallelism(); got != 1 {
+		t.Fatalf("DefaultParallelism at GOMAXPROCS=1 = %d, want 1", got)
 	}
 	reg := obs.NewRegistry()
 	rep, err := AnalyzeRun(context.Background(), rr, WithAnalysisObserver(reg))
@@ -189,12 +190,12 @@ func TestAnalyzeDefaultWorkersClamp(t *testing.T) {
 	if v := reg.Snapshot().Value("analyze.workers"); v != 1 {
 		t.Fatalf("analyze.workers = %v, want 1 (single-proc clamp)", v)
 	}
-	seqRep, err := AnalyzeRun(context.Background(), rr, WithSequential())
+	seqRep, err := AnalyzeRun(context.Background(), rr, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := reportDigest(t, rep), reportDigest(t, seqRep); got != want {
-		t.Fatal("default at GOMAXPROCS=1 diverged from sequential")
+		t.Fatal("default at GOMAXPROCS=1 diverged from single-worker")
 	}
 }
 

@@ -22,15 +22,11 @@ import (
 // values instead of passing this struct to Analyze/AnalyzeContext.
 type AnalyzeOptions struct {
 	// Parallelism bounds the worker goroutines of the analysis pipeline.
-	// 0 means runtime.GOMAXPROCS(0). Any value yields bit-identical
-	// results (see parallel.go's determinism contract): workers only
-	// decide how many of the fixed task graph's tasks run at once.
+	// 0 means DefaultParallelism(); 1 runs the same sharded algorithm
+	// on a single goroutine. Any value yields bit-identical results (see
+	// parallel.go's determinism contract): workers only decide how many
+	// of the fixed task graph's tasks run at once.
 	Parallelism int
-
-	// Sequential forces Parallelism 1 — the escape hatch for debugging
-	// and for timing the pipeline without concurrency. The same sharded
-	// algorithm runs on a single goroutine, so results are identical.
-	Sequential bool
 
 	// Observer, when non-nil, receives per-stage wall-clock phases
 	// ("analyze.index", "analyze.figures", "analyze.congestion") and

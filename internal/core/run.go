@@ -49,15 +49,12 @@ type RunConfig struct {
 	// identical; the knob exists for validation and A/B timing.
 	FullRecompute bool
 
-	// Workers bounds the goroutines the simulator's per-rack event-
-	// domain engine may use during the simulate phase (0 = GOMAXPROCS).
-	// Results are bit-identical at any worker count.
+	// Workers is read by nothing: the simulator runs its event loop on
+	// one goroutine.
+	//
+	// Deprecated: kept only so existing benchmark code that sets it
+	// still compiles; the next change to the benchmark removes it.
 	Workers int
-
-	// Sequential forces the simulator's single-goroutine reference
-	// event loop (the A/B path for the parallel engine). Results are
-	// identical; the knob exists for validation and timing.
-	Sequential bool
 
 	Seed uint64
 }
@@ -159,7 +156,6 @@ type runOptions struct {
 	sink          io.Writer
 	reg           *obs.Registry
 	regSet        bool
-	simExec       netsim.Executor
 	top           *topology.Topology
 }
 
@@ -196,16 +192,6 @@ func WithMetricsSink(w io.Writer) RunOption {
 // results are bit-identical either way.
 func WithObserver(reg *obs.Registry) RunOption {
 	return func(o *runOptions) { o.reg = reg; o.regSet = true }
-}
-
-// WithSimExecutor runs the simulator's parallel-engine phase spans on a
-// caller-provided shared executor instead of goroutines the run owns —
-// the seam the fleet batch executor uses to schedule many concurrent
-// runs over one core budget. The per-run worker bound (RunConfig
-// .Workers) still decides span granularity, and results are
-// bit-identical with or without an executor (netsim.Options.Exec).
-func WithSimExecutor(ex netsim.Executor) RunOption {
-	return func(o *runOptions) { o.simExec = ex }
 }
 
 // WithPrebuiltTopology reuses an already-built topology instead of
@@ -294,9 +280,6 @@ func prepareRun(cfg RunConfig, opts ...RunOption) (*preparedRun, error) {
 		StatsBinSize:         cfg.UtilBinSize,
 		MinRecomputeInterval: cfg.RateRecompute,
 		FullRecompute:        cfg.FullRecompute,
-		Workers:              cfg.Workers,
-		Sequential:           cfg.Sequential,
-		Exec:                 o.simExec,
 	})
 	collector := trace.NewCollector(top, cfg.Trace)
 	net.AddObserver(collector)

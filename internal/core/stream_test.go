@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,9 +69,9 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := writeTraceFile(t, rr)
-		want := reportDigest(t, mustAnalyze(t, rr, WithSequential()))
+		want := reportDigest(t, mustAnalyze(t, rr, WithParallelism(1)))
 
-		if got := streamDigest(t, path, 512, rr, WithSequential()); got != want {
+		if got := streamDigest(t, path, 512, rr, WithParallelism(1)); got != want {
 			t.Fatalf("seed %d: sequential stream digest %s != in-memory %s", seed, got, want)
 		}
 		prev := runtime.GOMAXPROCS(0)
@@ -144,7 +148,10 @@ func TestAnalyzeShimEquivalence(t *testing.T) {
 
 // TestAnalyzeSourceValidation nails the error contract of the new
 // entry point: a source without a topology or duration cannot be
-// analyzed.
+// analyzed, and a record no run on the topology could have produced —
+// an endpoint outside it, or an end before its start — fails the
+// analysis with an error naming the record's index in source order
+// instead of being silently absorbed.
 func TestAnalyzeSourceValidation(t *testing.T) {
 	src := trace.NewSliceSource(nil)
 	if _, err := AnalyzeSource(context.Background(), src); err == nil {
@@ -153,5 +160,34 @@ func TestAnalyzeSourceValidation(t *testing.T) {
 	rr, _ := smallRun(t)
 	if _, err := AnalyzeSource(context.Background(), rr.Source(), WithTopology(rr.Top)); err == nil {
 		t.Fatal("AnalyzeSource without duration: want error")
+	}
+
+	var recs []trace.FlowRecord
+	for src := rr.Source(); ; {
+		r, err := src.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(recs, r)
+	}
+	opts := []AnalyzeOption{WithTopology(rr.Top), WithDuration(rr.Config.Duration)}
+	k := len(recs) / 2
+	for _, tc := range []struct {
+		name    string
+		corrupt func(*trace.FlowRecord)
+	}{
+		{"src outside topology", func(r *trace.FlowRecord) { r.Src = 99999 }},
+		{"dst negative", func(r *trace.FlowRecord) { r.Dst = -1 }},
+		{"end before start", func(r *trace.FlowRecord) { r.End = r.Start - 1 }},
+	} {
+		bad := append([]trace.FlowRecord(nil), recs...)
+		tc.corrupt(&bad[k])
+		_, err := AnalyzeSource(context.Background(), trace.NewSliceSource(bad), opts...)
+		if want := fmt.Sprintf("record %d:", k); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: AnalyzeSource error %v, want one naming %q", tc.name, err, want)
+		}
 	}
 }

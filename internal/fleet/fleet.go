@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"dctraffic/internal/core"
-	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
 )
 
@@ -22,12 +21,13 @@ type RunSpec struct {
 // defaults: concurrency and pool sized by GOMAXPROCS, memory budget
 // derived from GOMEMLIMIT (none when unlimited).
 type Options struct {
-	// Concurrency caps the pipelines in flight (0 = GOMAXPROCS,
-	// clamped to the spec count). Admission is in config order.
+	// Concurrency caps the pipelines in flight (0 =
+	// core.DefaultParallelism(), clamped to the spec count). Admission
+	// is in config order.
 	Concurrency int
 
-	// PoolWorkers sizes the shared worker pool spanning every run's
-	// sim spans and analysis tasks (0 = GOMAXPROCS).
+	// PoolWorkers sizes the worker pool every run's analysis tasks
+	// share (0 = core.DefaultParallelism()).
 	PoolWorkers int
 
 	// MaxHeapMB caps the summed EstimatePeakMB of in-flight runs.
@@ -93,7 +93,7 @@ type Result struct {
 func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error) {
 	conc := opts.Concurrency
 	if conc <= 0 {
-		conc = netsim.DefaultWorkers()
+		conc = core.DefaultParallelism()
 	}
 	if conc > len(specs) {
 		conc = len(specs)
@@ -103,7 +103,7 @@ func Execute(ctx context.Context, specs []RunSpec, opts Options) (*Result, error
 	}
 	poolW := opts.PoolWorkers
 	if poolW <= 0 {
-		poolW = netsim.DefaultWorkers()
+		poolW = core.DefaultParallelism()
 	}
 	budget := opts.MaxHeapMB
 	if budget == 0 {
@@ -193,10 +193,7 @@ func executeOne(ctx context.Context, i int, sp RunSpec, pool *Pool, cache *topoC
 
 	runReg := obs.NewRegistry()
 	aReg := obs.NewRegistry()
-	ropts := []core.RunOption{
-		core.WithObserver(runReg),
-		core.WithSimExecutor(pool),
-	}
+	ropts := []core.RunOption{core.WithObserver(runReg)}
 	top, err := cache.get(sp.Config.Topology)
 	if err != nil {
 		out.Err = fmt.Errorf("fleet: run %d (%s): %w", i, out.Name, err)

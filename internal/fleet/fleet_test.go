@@ -125,19 +125,16 @@ func TestFleetMatchesStandalone(t *testing.T) {
 }
 
 // TestFleetRaceSmoke is the race-detector leg for the shared pool: two
-// concurrent pipelines funneling sim spans and analysis tasks through
-// one 2-worker pool. Results are still checked against each other
-// (same seed, same fabric → same digest).
+// concurrent pipelines funneling analysis tasks through one 2-worker
+// pool. Results are still checked against each other (same seed, same
+// fabric → same digest).
 func TestFleetRaceSmoke(t *testing.T) {
 	specs := []RunSpec{
 		{Name: "a", Config: sweepConfig(1, false)},
 		{Name: "b", Config: sweepConfig(1, false)},
 	}
-	// Explicit worker counts >1 so the executor paths engage even on a
-	// single-proc box.
-	for i := range specs {
-		specs[i].Config.Workers = 2
-	}
+	// An explicit analysis parallelism >1 so the executor path engages
+	// even on a single-proc box.
 	res, err := Execute(context.Background(), specs, Options{
 		Concurrency: 2,
 		PoolWorkers: 2,

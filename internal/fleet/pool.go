@@ -8,7 +8,7 @@
 //  1. Runs are independent domains — no shared mutable state. Each run
 //     gets its own registries, collector, RNGs; the only shared objects
 //     are immutable (cached topologies) or results-neutral (the worker
-//     pool, which decides where spans execute, never what they compute).
+//     pool, which decides where tasks execute, never what they compute).
 //  2. Per-run outputs are disjoint slots: outcome i is written only by
 //     run i's goroutine, before its completion is signaled.
 //  3. Fleet output is a fixed-order merge keyed by config index, on the
@@ -25,19 +25,17 @@ import (
 )
 
 // Pool is a bounded set of worker goroutines executing submitted
-// closures in FIFO order. It implements netsim.Executor, so one Pool
-// can be injected into every concurrent run's simulator engine
-// (core.WithSimExecutor) and analysis pipeline (core.WithTaskExecutor):
-// sim phase spans and analysis window tasks from all runs interleave on
-// the same workers, so a run draining its tail cannot idle cores
-// another run could use.
+// closures in FIFO order. It implements core.Executor, so one Pool can
+// be injected into every concurrent run's analysis pipeline
+// (core.WithTaskExecutor): analysis window tasks from all runs
+// interleave on the same workers, so a run draining its tail cannot
+// idle cores another run could use.
 //
-// Submitted closures must not block on the Pool themselves (the netsim
-// and core seams guarantee this: their tasks only compute and signal
-// WaitGroups/channels owned by their coordinator), so a bounded Pool
-// cannot deadlock. Go never blocks the submitter; backpressure is the
-// submitters' own (the analysis in-flight semaphore, the sim phase
-// barrier).
+// Submitted closures must not block on the Pool themselves (the core
+// seam guarantees this: its tasks only compute and signal channels
+// owned by their coordinator), so a bounded Pool cannot deadlock. Go
+// never blocks the submitter; backpressure is the submitter's own (the
+// analysis in-flight semaphore).
 type Pool struct {
 	mu     sync.Mutex
 	cond   *sync.Cond

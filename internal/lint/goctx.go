@@ -18,7 +18,7 @@ import (
 //
 //   - the function literal of a `go func(){...}()` statement;
 //   - a named function or method launched directly by a go statement
-//     (`go e.worker(w, c)` — the netsim domain pool's shape);
+//     (`go e.worker(w, c)` — a channel-fed worker pool's shape);
 //   - a worker-pool task closure: a function literal that flows into a
 //     parameter some callee executes on a goroutine (`runTasks`'s tasks
 //     slice — the analysis pipeline's shape). The flow is tracked

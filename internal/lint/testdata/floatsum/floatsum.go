@@ -148,7 +148,7 @@ func channelCollectOK(ch chan float64) []float64 {
 	return out
 }
 
-// simDomain mirrors netsim's per-rack event domains: a worker owns a
+// simDomain is a per-domain slot layout: a worker owns a
 // contiguous range of domains and writes only their per-window slots,
 // which the coordinator folds in domain order after the barrier.
 type simDomain struct {

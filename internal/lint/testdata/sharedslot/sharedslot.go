@@ -123,7 +123,7 @@ func mapWriteNotOK(items []int) map[int]int {
 }
 
 // goStmtSharedNotOK: the same rule applies to plain go statements in a
-// loop, the netsim launch shape.
+// loop, a channel-worker launch shape.
 func goStmtSharedNotOK(n int) int {
 	var wg sync.WaitGroup
 	res := 0

@@ -1,6 +1,10 @@
 package netsim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -169,6 +173,122 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+
+	// The simulator's stress shapes on top of the random flow sets:
+	// closed-loop churn, rack-local pairs and CancelWhere evacuation
+	// storms, exact and batched. Trace digests must be bit-identical.
+	for seed := uint64(1); seed <= 20; seed++ {
+		sc := synthConfig{
+			seed:      seed,
+			batched:   seed%2 == 0,
+			rackLocal: seed%3 != 0,
+			evacuate:  seed%4 == 0 || seed >= 16, // ≥ 9 evacuation-heavy variants
+		}
+		inc, incN := runSynthetic(t, sc, Options{})
+		full, fullN := runSynthetic(t, sc, Options{FullRecompute: true})
+		if inc != full {
+			t.Fatalf("seed %d (batched=%v rackLocal=%v evacuate=%v): incremental digest %s != full %s (%d vs %d flows)",
+				seed, sc.batched, sc.rackLocal, sc.evacuate, inc, full, incN, fullN)
+		}
+	}
+}
+
+// digestObserver hashes every flow lifecycle fact determinism covers:
+// identity, endpoints, ports, timing, cancellation and the exact float
+// bits of the bytes moved. Two runs agree on the digest iff their traces
+// are bit-identical.
+type digestObserver struct {
+	h     [32]byte
+	count int
+}
+
+func (d *digestObserver) FlowStarted(f *Flow) {}
+func (d *digestObserver) FlowEnded(f *Flow) {
+	s := fmt.Sprintf("%x|%d %d %d %d %d %d %d %v %016x\n",
+		d.h, f.ID, f.Src, f.Dst, f.SrcPort, f.DstPort, f.Start, f.End,
+		f.Canceled, math.Float64bits(f.Transferred()))
+	d.h = sha256.Sum256([]byte(s))
+	d.count++
+}
+
+// synthConfig is one randomized small-cluster workload variant.
+type synthConfig struct {
+	seed      uint64
+	batched   bool // 10 ms MinRecomputeInterval (day-scale configuration)
+	rackLocal bool // 80% same-rack pairs (work-seeks-bandwidth shape)
+	evacuate  bool // periodic CancelWhere storms with bulk restarts
+}
+
+// runSynthetic drives a closed-loop random workload: an initial wave of
+// flows whose completion callbacks chain replacement flows (so RNG draws
+// happen in completion order), plus optional evacuation storms. Returns
+// the trace digest and the number of flows ended.
+func runSynthetic(t *testing.T, sc synthConfig, opts Options) (string, int) {
+	t.Helper()
+	top := topology.MustNew(topology.SmallConfig())
+	if sc.batched {
+		opts.MinRecomputeInterval = 10 * time.Millisecond
+	}
+	n := New(top, opts)
+	d := &digestObserver{}
+	n.AddObserver(d)
+	r := stats.NewRNG(sc.seed)
+	hosts := top.NumHosts()
+	servers := top.NumServers()
+	spr := top.Config().ServersPerRack
+
+	pair := func() (topology.ServerID, topology.ServerID) {
+		if sc.rackLocal && r.Float64() < 0.8 {
+			rack := r.IntN(top.NumRacks())
+			src := topology.ServerID(rack*spr + r.IntN(spr))
+			dst := topology.ServerID(rack*spr + r.IntN(spr))
+			return src, dst
+		}
+		return topology.ServerID(r.IntN(hosts)), topology.ServerID(r.IntN(hosts))
+	}
+	var chain func(depth, job int) func(*Flow)
+	chain = func(depth, job int) func(*Flow) {
+		if depth <= 0 {
+			return nil
+		}
+		return func(f *Flow) {
+			if f.Canceled {
+				return
+			}
+			src, dst := pair()
+			n.StartFlow(src, dst, int64(1+r.IntN(4_000_000)), FlowTag{Job: job}, chain(depth-1, job))
+		}
+	}
+	const initial = 400
+	for i := 0; i < initial; i++ {
+		i := i
+		n.After(Time(r.IntN(300))*time.Millisecond, func() {
+			src, dst := pair()
+			n.StartFlow(src, dst, int64(1+r.IntN(6_000_000)), FlowTag{Job: i % 7}, chain(2, i%7))
+		})
+	}
+	if sc.evacuate {
+		// Periodic evacuation: reap one job's transfers, then bulk-restart
+		// them as evacuation traffic off the victim server.
+		for k := 0; k < 8; k++ {
+			k := k
+			n.After(Time(150+100*k)*time.Millisecond, func() {
+				job := k % 7
+				n.CancelWhere(func(f *Flow) bool { return f.Tag.Job == job && f.Tag.Kind != KindEvacuate })
+				victim := topology.ServerID(r.IntN(servers))
+				for i := 0; i < 40; i++ {
+					dst := topology.ServerID(r.IntN(servers))
+					n.StartFlow(victim, dst, int64(1+r.IntN(2_000_000)),
+						FlowTag{Job: job, Kind: KindEvacuate}, chain(1, job))
+				}
+			})
+		}
+	}
+	n.RunAll()
+	if got := d.count; got < initial {
+		t.Fatalf("workload too small: %d flows ended", got)
+	}
+	return hex.EncodeToString(d.h[:]), d.count
 }
 
 // A canceled flow must vanish from the per-link flow lists, and the moved

@@ -1,69 +1,41 @@
 package netsim
 
 import (
-	"math"
 	"slices"
 
 	"dctraffic/internal/topology"
 )
 
-// Event domains partition the simulation's mutable per-flow and per-link
+// Event domains lay out the simulation's mutable per-flow and per-link
 // state by rack, mirroring the paper's work-seeks-bandwidth locality:
-// most flows live entirely inside one rack, so most of each allocation
-// step's work touches exactly one domain and can run concurrently with
-// every other domain's.
+// most flows live entirely inside one rack.
 //
 // Domain 0 (the core domain) owns the agg, core and external links plus
 // every flow that crosses the rack boundary; domain r+1 owns rack r's
 // server up/downlinks and ToR up/downlinks plus its intra-rack flows.
-// The agg/core layer is the only coupling boundary between rack domains,
-// and rates on it change only at allocation steps (the fluid model is
-// piecewise-constant between recomputes), so a full inter-step interval
-// is a safe conservative lookahead window: inside it, domains interact
-// only through state frozen at the previous barrier.
 //
-// Each step is a synchronization window that follows the three-rule
-// determinism contract (see internal/core/parallel.go and DESIGN.md §9):
+// The partition is the event loop's data layout, not a unit of
+// concurrency: every phase of an allocation step runs on the event-loop
+// goroutine. It still fixes results. advance folds the per-domain byte
+// partials into Network.totalBytes in domain order, and each domain's
+// flow list fixes the order its floats are evaluated in; every pinned
+// trace digest was taken with that order. The partition is a pure
+// function of the topology and each flow's endpoints.
 //
-//  1. data-driven decomposition — the domain partition is a pure
-//     function of the topology and each flow's endpoints, never of
-//     goroutine timing;
-//  2. disjoint slots — a phase writes only state owned by the domain
-//     (or component) it was handed: flow progress, owned link bytes,
-//     and the domain's float partials;
-//  3. fixed-order merges — the coordinator folds the slots in domain
-//     (or component) id order on one goroutine: totalBytes partials,
-//     rate publication, timer arming.
-//
-// Completion detection and callback delivery stay on the coordinator in
-// the sequential path's active-scan order (see completeFinished): the
-// workload layers draw RNG state inside completion callbacks, so their
-// order is trajectory-defining and must not depend on the partition.
-//
-// Every phase computes the same floats in the same order whether it ran
-// inline or on a worker, so same-seed traces are bit-identical at any
-// worker count, including against Options.Sequential.
+// Completion detection and callback delivery do not use the partition
+// (see completeFinished): the workload layers draw RNG state inside
+// completion callbacks, so their order is trajectory-defining and
+// follows the active-scan order.
 type domain struct {
-	// flows owned by this domain. Maintained by StartFlow/retire on the
-	// coordinator goroutine only; order is deterministic (insertion with
-	// swap-removal), which fixes this domain's float evaluation order.
+	// flows owned by this domain. Maintained by StartFlow/retire; order
+	// is deterministic (insertion with swap-removal), which fixes this
+	// domain's float evaluation order.
 	flows []*Flow
 
 	// activeLinks lists owned links with a nonzero allocated rate
 	// (Network.linkActivePos holds each link's index here). Maintained
-	// by publish on the coordinator goroutine only.
+	// by publish.
 	activeLinks []topology.LinkID
-
-	// clock is the domain's local time: how far flow progress and link
-	// byte accrual have advanced. Domains advance in lockstep to the
-	// window barrier, so clock equals Network.lastAdvance between
-	// phases; it exists per-domain so a phase needs no shared reads.
-	clock Time
-
-	// Per-window output slots, written by the owning phase and read by
-	// the coordinator after the phase barrier.
-	bytesPartial float64 // bytes moved this window (advance phase)
-	minCompl     float64 // earliest projected completion in seconds (min phase)
 }
 
 // coreDomain owns the shared fabric: agg/core/external links and every
@@ -103,15 +75,14 @@ func (n *Network) flowDomain(src, dst topology.ServerID) int32 {
 }
 
 // advanceDomain accrues flow progress and owned-link bytes from the
-// domain clock to now under the rates frozen at the last barrier. Writes
-// only domain-owned state plus per-link slots of owned links; the moved
-// bytes land in the domain's partial, folded in domain order afterwards.
-func (n *Network) advanceDomain(d *domain, now Time, dt float64) {
+// last advance to now under the rates frozen at the last recompute, and
+// returns the bytes the domain's flows moved.
+func (n *Network) advanceDomain(d *domain, from, now Time, dt float64) float64 {
 	for _, l := range d.activeLinks {
 		r := n.linkRateB[l]
 		n.linkBytes[l] += r * dt
 		if n.stats != nil {
-			n.stats.record(l, d.clock, now, r)
+			n.stats.record(l, from, now, r)
 		}
 	}
 	part := 0.0
@@ -125,34 +96,15 @@ func (n *Network) advanceDomain(d *domain, now Time, dt float64) {
 			part += moved
 		}
 	}
-	d.bytesPartial = part
-	d.clock = now
-}
-
-// minDomain computes the earliest projected completion among the
-// domain's flows. min is order-insensitive, so the merged minimum is
-// value-identical to a flat scan.
-func (n *Network) minDomain(d *domain) {
-	best := math.Inf(1)
-	for _, f := range d.flows {
-		if f.rate > 0 {
-			if t := f.remaining / f.rate; t < best {
-				best = t
-			}
-		}
-	}
-	d.minCompl = best
+	return part
 }
 
 // component is one link-sharing-connected set of dirty links, the unit
-// of parallel max-min re-solving. Components are link- and flow-disjoint
-// by construction, so concurrent solves write disjoint slots of the
-// shared linkAlloc/linkUnfrozen arrays and disjoint flows' rates.
+// of incremental max-min re-solving. Components are link- and
+// flow-disjoint by construction, so each solves independently.
 type component struct {
-	links       []topology.LinkID // ascending id order, closed under link sharing
-	cand        []topology.LinkID // bottleneck-candidate scratch, owned by this solve
-	unfrozen    int               // distinct flows on links
-	multiDomain bool              // spans more than one event domain
+	links    []topology.LinkID // ascending id order, closed under link sharing
+	unfrozen int               // distinct flows on links
 }
 
 // gatherComponents consumes the dirty-link seeds and returns the
@@ -177,20 +129,15 @@ func (n *Network) gatherComponents() []component {
 			c := &comps[len(comps)-1]
 			c.links = c.links[:0]
 			c.unfrozen = 0
-			c.multiDomain = false
 		} else {
 			comps = append(comps, component{})
 		}
 		c := &comps[len(comps)-1]
 		n.linkComp[seed] = gen
 		c.links = append(c.links, seed)
-		dom := n.linkDomain[seed]
 		// Close over link sharing: c.links doubles as the BFS frontier.
 		for i := 0; i < len(c.links); i++ {
 			l := c.links[i]
-			if n.linkDomain[l] != dom {
-				c.multiDomain = true
-			}
 			for _, f := range n.linkFlows[l] {
 				if f.mark == gen {
 					continue
@@ -214,10 +161,4 @@ func (n *Network) gatherComponents() []component {
 	n.seedLinks = n.seedLinks[:0]
 	n.comps = comps
 	return comps
-}
-
-// solveComp re-solves one component's max-min shares using its own
-// candidate scratch, so component solves are safe to run concurrently.
-func (n *Network) solveComp(c *component) {
-	c.cand = n.solve(c.links, c.unfrozen, c.cand)
 }

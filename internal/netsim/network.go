@@ -39,25 +39,6 @@ type Options struct {
 	// links with changed flows cannot change under max-min); the knob
 	// exists for validation and A/B timing.
 	FullRecompute bool
-
-	// Workers bounds the goroutines the per-rack event-domain engine
-	// may use during Run (0 = DefaultWorkers(), capped at the domain
-	// count). Results are bit-identical at any worker count.
-	Workers int
-
-	// Exec, when non-nil, runs the engine's phase spans on a
-	// caller-provided executor instead of goroutines the engine owns —
-	// the seam the fleet batch executor uses to share one bounded pool
-	// across concurrent Networks. Span closures never block on the
-	// executor, so a bounded pool cannot deadlock on them. Results are
-	// bit-identical with or without an executor.
-	Exec Executor
-
-	// Sequential forces every allocation-step phase to run inline on
-	// the event-loop goroutine — the A/B reference path for the
-	// parallel engine. Results are identical; the knob exists for
-	// validation and timing.
-	Sequential bool
 }
 
 // Observer receives flow lifecycle notifications. The instrumentation
@@ -76,9 +57,9 @@ type Observer interface {
 // the last recompute. All solver scratch lives on the Network, so
 // steady-state recomputation performs no allocations.
 //
-// Mutable state is partitioned into per-rack event domains (domain.go)
-// so the phases of an allocation step can run concurrently; the event
-// loop itself and every merge stay on the Run caller's goroutine.
+// Per-flow and per-link mutable state is laid out in per-rack event
+// domains (domain.go); every allocation-step phase walks them in domain
+// order on the event-loop goroutine.
 type Network struct {
 	Sim
 	top  *topology.Topology
@@ -99,12 +80,10 @@ type Network struct {
 
 	// Event domains: doms[0] is the shared core, doms[r+1] is rack r.
 	// linkDomain maps each link to its owner; linkActivePos[l] is l's
-	// index in its owner's activeLinks (-1 if absent); activeLinkCount
-	// sums the per-domain lists.
-	doms            []domain
-	linkDomain      []int32
-	linkActivePos   []int32
-	activeLinkCount int
+	// index in its owner's activeLinks (-1 if absent).
+	doms          []domain
+	linkDomain    []int32
+	linkActivePos []int32
 
 	// Dirty tracking: links whose flow membership changed since the
 	// last recompute. seedMark dedupes; seedLinks lists them.
@@ -117,7 +96,7 @@ type Network struct {
 	linkComp     []uint64    // generation stamp: link gathered this solve
 	comps        []component // dirty components of the current step
 	fullComp     []topology.LinkID
-	fullCand     []topology.LinkID
+	cand         []topology.LinkID // bottleneck-candidate scratch
 	compGen      uint64
 
 	// pendingLocal holds loopback flows started since the last
@@ -143,24 +122,12 @@ type Network struct {
 	flowsCompleted int64
 	flowsCanceled  int64
 
-	// Parallel engine state: workersN is the resolved worker budget,
-	// eng the pool (nil outside Run or on the sequential path), and the
-	// counters feed the netsim.parallel.* series. windowCross counts
-	// cross-domain interactions (core-owned flow starts/ends, multi-
-	// domain component solves) accumulated toward the current window.
-	workersN     int
-	eng          *parEngine
-	windows      int64
-	barrierWaits int64
-	windowCross  int64
-
 	// Allocator telemetry (see Instrument). Plain counters cost nothing
-	// on the hot path and are exported as sampled series; the histograms
-	// are obs handles with a nil-safe Observe.
+	// on the hot path and are exported as sampled series; the histogram
+	// is an obs handle with a nil-safe Observe.
 	recomputesDirty int64
 	recomputesFull  int64
 	metCompLinks    *obs.Histogram
-	metCrossWindow  *obs.Histogram
 }
 
 // New builds a network over the topology.
@@ -189,13 +156,6 @@ func New(top *topology.Topology, opts Options) *Network {
 		n.linkCapB[l.ID] = l.CapacityBps / 8
 	}
 	n.buildDomains(top)
-	n.workersN = opts.Workers
-	if n.workersN <= 0 {
-		n.workersN = DefaultWorkers()
-	}
-	if n.workersN > len(n.doms) {
-		n.workersN = len(n.doms)
-	}
 	if opts.StatsBinSize > 0 {
 		links := opts.StatsLinks
 		if links == nil {
@@ -217,8 +177,8 @@ func (n *Network) Top() *topology.Topology { return n.top }
 
 // Instrument registers the simulator's netsim.* series with the
 // registry. Counters the simulator maintains natively are exported as
-// sampled series (zero hot-path cost); the dirty-component size and
-// cross-domain-event histograms get handles with a nil-safe Observe.
+// sampled series (zero hot-path cost); the dirty-component size
+// histogram gets a handle with a nil-safe Observe.
 // Metrics are write-only from the simulation's perspective — nothing
 // here feeds back into event order, RNG draws or rates — so
 // instrumenting a run cannot change its results. Safe to call with a
@@ -234,15 +194,6 @@ func (n *Network) Instrument(r *obs.Registry) {
 	r.SampledCounter("netsim.recomputes_dirty_total", func() float64 { return float64(n.recomputesDirty) })
 	r.SampledCounter("netsim.recomputes_full_total", func() float64 { return float64(n.recomputesFull) })
 	n.metCompLinks = r.Histogram("netsim.recompute_component_links", obs.Pow2Bounds(1, 16))
-	// Parallel-engine telemetry: the domain count, the resolved worker
-	// budget, window advances (allocation steps), barriers the
-	// coordinator waited on, and how many cross-domain interactions
-	// each window carried (the conservative scheme's coupling cost).
-	r.SampledGauge("netsim.parallel.domains", func() float64 { return float64(len(n.doms)) })
-	r.SampledGauge("netsim.parallel.workers", func() float64 { return float64(n.workersN) })
-	r.SampledCounter("netsim.parallel.windows_total", func() float64 { return float64(n.windows) })
-	r.SampledCounter("netsim.parallel.barrier_waits_total", func() float64 { return float64(n.barrierWaits) })
-	n.metCrossWindow = r.Histogram("netsim.parallel.crossdomain_events_window", obs.Pow2Bounds(1, 14))
 }
 
 // AddObserver registers a flow lifecycle observer.
@@ -317,9 +268,6 @@ func (n *Network) StartFlow(src, dst topology.ServerID, bytes int64, tag FlowTag
 	d := &n.doms[f.dom]
 	f.domIdx = int32(len(d.flows))
 	d.flows = append(d.flows, f)
-	if f.dom == coreDomain && len(f.path) > 0 {
-		n.windowCross++
-	}
 	if len(f.path) == 0 {
 		// Loopback: rate is assigned at the next recompute, matching
 		// when a full re-solve would have assigned it.
@@ -413,10 +361,6 @@ func (n *Network) recomputeEvent() {
 
 // step advances flow progress under the old rates, completes finished
 // flows, recomputes max-min shares, and schedules the next completion.
-// One step is one synchronization window of the parallel engine: the
-// phases inside it fan out over domains (or components) and merge at
-// barriers in domain (or component) order, so the window's outcome is
-// bit-identical at any worker count.
 func (n *Network) step() {
 	n.advance()
 	n.completeFinished()
@@ -433,31 +377,21 @@ func (n *Network) step() {
 		n.recomputeDirty()
 	}
 	n.scheduleNextCompletion()
-	n.windows++
-	n.metCrossWindow.Observe(float64(n.windowCross))
-	n.windowCross = 0
 }
 
 // advance accrues progress and link bytes for the time since the last
 // advance, under the rates frozen then. Each domain advances its own
-// flows and owned loaded links; the per-domain byte partials are folded
-// in domain order, so the sum's rounding is independent of worker count.
+// flows and owned loaded links, and the per-domain byte partials are
+// folded in domain order: that fold order fixes totalBytes' rounding,
+// and every pinned trace digest was taken with it.
 func (n *Network) advance() {
 	now := n.Now()
 	if now <= n.lastAdvance {
 		return
 	}
 	dt := (now - n.lastAdvance).Seconds()
-	if e := n.eng; e != nil && len(n.active)+n.activeLinkCount >= parMinPhaseWork {
-		e.now, e.dt = now, dt
-		e.dispatch(phaseAdvance)
-	} else {
-		for i := range n.doms {
-			n.advanceDomain(&n.doms[i], now, dt)
-		}
-	}
 	for i := range n.doms {
-		n.totalBytes += n.doms[i].bytesPartial
+		n.totalBytes += n.advanceDomain(&n.doms[i], n.lastAdvance, now, dt)
 	}
 	n.lastAdvance = now
 }
@@ -465,15 +399,11 @@ func (n *Network) advance() {
 // completeFinished retires flows whose remaining bytes reached zero.
 const finishEps = 1e-3 // bytes
 
-// completeFinished runs entirely on the coordinator, deliberately: the
-// finish test is a cheap epsilon compare, and the completion callbacks
-// feed the workload layers, whose RNG draws are interleaved in callback
-// order. Keeping the exact active-scan order of the sequential reference
-// path (retire everything first, then deliver observers and callbacks in
-// retirement order) makes the engine-off build bit-identical to the
-// pre-engine simulator and the engine-on build bit-identical to
-// engine-off — completion order never depends on the domain partition or
-// the worker count.
+// completeFinished retires every finished flow in active-scan order,
+// then runs observers and callbacks in retirement order. The callbacks
+// feed the workload layers, whose RNG draws interleave in callback
+// order, so that order is trajectory-defining; it never depends on the
+// domain partition.
 func (n *Network) completeFinished() {
 	finished := n.finished[:0]
 	for i := 0; i < len(n.active); {
@@ -490,9 +420,6 @@ func (n *Network) completeFinished() {
 	n.finished = finished
 	for _, f := range finished {
 		n.flowsCompleted++
-		if f.dom == coreDomain && len(f.path) > 0 {
-			n.windowCross++
-		}
 		for _, o := range n.observers {
 			o.FlowEnded(f)
 		}
@@ -506,35 +433,18 @@ func (n *Network) completeFinished() {
 // flows sharing links with any flow that started or ended since the last
 // recompute. Flows in disjoint components keep their rates, which is
 // exact: a max-min allocation is separable across link-disjoint
-// components, so allocations outside the affected ones cannot change —
-// the same separability that lets component solves run concurrently.
+// components, so allocations outside the affected ones cannot change.
 func (n *Network) recomputeDirty() {
 	comps := n.gatherComponents()
 	if len(comps) == 0 {
 		return
 	}
 	n.recomputesDirty++
-	unfrozen := 0
 	for i := range comps {
-		unfrozen += comps[i].unfrozen
-		n.metCompLinks.Observe(float64(len(comps[i].links)))
-		if comps[i].multiDomain {
-			n.windowCross++
-		}
-	}
-	if e := n.eng; e != nil && len(comps) >= 2 && unfrozen >= parMinSolveWork {
-		e.comps = comps
-		e.dispatch(phaseSolve)
-		e.comps = nil
-	} else {
-		for i := range comps {
-			n.solveComp(&comps[i])
-		}
-	}
-	// Publish in component order on the coordinator: rates and the
-	// active-link lists are shared state.
-	for i := range comps {
-		n.publish(comps[i].links)
+		c := &comps[i]
+		n.metCompLinks.Observe(float64(len(c.links)))
+		n.cand = n.solve(c.links, c.unfrozen, n.cand)
+		n.publish(c.links)
 	}
 }
 
@@ -558,7 +468,6 @@ func (n *Network) recomputeRates() {
 		}
 		d.activeLinks = d.activeLinks[:0]
 	}
-	n.activeLinkCount = 0
 	n.compGen++
 	gen := n.compGen
 	comp := n.fullComp[:0]
@@ -580,7 +489,7 @@ func (n *Network) recomputeRates() {
 	}
 	slices.Sort(comp)
 	n.fullComp = comp
-	n.fullCand = n.solve(comp, unfrozen, n.fullCand)
+	n.cand = n.solve(comp, unfrozen, n.cand)
 	n.publish(comp)
 }
 
@@ -589,9 +498,9 @@ func (n *Network) recomputeRates() {
 // fair share, remove them, and continue. links must be in ascending id
 // order (deterministic tie-breaks) and closed under flow link-sharing;
 // unfrozen is the number of distinct flows on them. cand is the caller's
-// candidate scratch (returned for reuse), so solves of disjoint link
-// sets can run concurrently: all other writes — linkAlloc, linkUnfrozen,
-// flow rates — land on the solved links and their flows only.
+// candidate scratch, returned for reuse. All other writes — linkAlloc,
+// linkUnfrozen, flow rates — land on the solved links and their flows
+// only.
 func (n *Network) solve(links []topology.LinkID, unfrozen int, cand []topology.LinkID) []topology.LinkID {
 	for _, l := range links {
 		n.linkAlloc[l] = 0
@@ -642,9 +551,8 @@ func (n *Network) solve(links []topology.LinkID, unfrozen int, cand []topology.L
 }
 
 // publish copies the solved allocations into the live rate array and
-// maintains the owner domains' active-link lists. Runs on the
-// coordinator only, in component order — rates and list membership are
-// shared state the advance phase reads next window.
+// maintains the owner domains' active-link lists, which the next
+// advance reads.
 func (n *Network) publish(links []topology.LinkID) {
 	for _, l := range links {
 		r := n.linkAlloc[l]
@@ -654,7 +562,6 @@ func (n *Network) publish(links []topology.LinkID) {
 		if r != 0 && pos < 0 {
 			n.linkActivePos[l] = int32(len(d.activeLinks))
 			d.activeLinks = append(d.activeLinks, l)
-			n.activeLinkCount++
 		} else if r == 0 && pos >= 0 {
 			last := len(d.activeLinks) - 1
 			moved := d.activeLinks[last]
@@ -662,30 +569,21 @@ func (n *Network) publish(links []topology.LinkID) {
 			n.linkActivePos[moved] = pos
 			d.activeLinks = d.activeLinks[:last]
 			n.linkActivePos[l] = -1
-			n.activeLinkCount--
 		}
 	}
 }
 
 // scheduleNextCompletion arms a single timer for the earliest projected
-// flow completion; a generation counter invalidates stale timers. The
-// per-domain minima merge to the same value as a flat scan (min is
-// order-insensitive), so the timer fires at the same instant on every
-// path.
+// flow completion; a generation counter invalidates stale timers.
 func (n *Network) scheduleNextCompletion() {
 	n.completionGen++
 	gen := n.completionGen
-	if e := n.eng; e != nil && len(n.active) >= parMinPhaseWork {
-		e.dispatch(phaseMin)
-	} else {
-		for i := range n.doms {
-			n.minDomain(&n.doms[i])
-		}
-	}
 	best := math.Inf(1)
-	for i := range n.doms {
-		if n.doms[i].minCompl < best {
-			best = n.doms[i].minCompl
+	for _, f := range n.active {
+		if f.rate > 0 {
+			if t := f.remaining / f.rate; t < best {
+				best = t
+			}
 		}
 	}
 	if math.IsInf(best, 1) {
@@ -715,9 +613,6 @@ func (n *Network) Cancel(f *Flow) {
 	f.Canceled = true
 	f.End = n.Now()
 	n.flowsCanceled++
-	if f.dom == coreDomain && len(f.path) > 0 {
-		n.windowCross++
-	}
 	for _, o := range n.observers {
 		o.FlowEnded(f)
 	}
@@ -751,9 +646,6 @@ func (n *Network) CancelWhere(pred func(*Flow) bool) int {
 		f.Canceled = true
 		f.End = n.Now()
 		n.flowsCanceled++
-		if f.dom == coreDomain && len(f.path) > 0 {
-			n.windowCross++
-		}
 		for _, o := range n.observers {
 			o.FlowEnded(f)
 		}

@@ -10,10 +10,8 @@ import (
 // them, and tomography uses them as its only input.
 //
 // Storage is a dense per-link slice (indexed by LinkID, nil for
-// untracked links) rather than a map: the advance phase records links
-// concurrently from per-rack domain workers, and distinct slice slots
-// are safely disjoint where concurrent map writes — even to distinct
-// keys — are not.
+// untracked links) rather than a map, so the advance phase records a
+// link's bytes with an index instead of a hash lookup.
 type LinkStats struct {
 	binSize Time
 	tracked []bool      // indexed by LinkID
