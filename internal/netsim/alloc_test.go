@@ -217,6 +217,9 @@ type synthConfig struct {
 	batched   bool // 10 ms MinRecomputeInterval (day-scale configuration)
 	rackLocal bool // 80% same-rack pairs (work-seeks-bandwidth shape)
 	evacuate  bool // periodic CancelWhere storms with bulk restarts
+	// top, when set, is the topology to simulate on; nil builds a fresh
+	// SmallConfig topology for the run.
+	top *topology.Topology
 }
 
 // runSynthetic drives a closed-loop random workload: an initial wave of
@@ -225,7 +228,10 @@ type synthConfig struct {
 // the trace digest and the number of flows ended.
 func runSynthetic(t *testing.T, sc synthConfig, opts Options) (string, int) {
 	t.Helper()
-	top := topology.MustNew(topology.SmallConfig())
+	top := sc.top
+	if top == nil {
+		top = topology.MustNew(topology.SmallConfig())
+	}
 	if sc.batched {
 		opts.MinRecomputeInterval = 10 * time.Millisecond
 	}
@@ -289,6 +295,45 @@ func runSynthetic(t *testing.T, sc synthConfig, opts Options) (string, int) {
 		t.Fatalf("workload too small: %d flows ended", got)
 	}
 	return hex.EncodeToString(d.h[:]), d.count
+}
+
+// Independent networks running in parallel on one shared topology, as
+// the fleet executor runs them, must produce exactly the traces they
+// produce one after another: a Network keeps no state outside itself
+// and only reads the topology. The race detector legs cover the same
+// runs for unsynchronized sharing.
+func TestParallelMatchesSequential(t *testing.T) {
+	top := topology.MustNew(topology.SmallConfig())
+	var configs []synthConfig
+	for seed := uint64(1); seed <= 8; seed++ {
+		configs = append(configs, synthConfig{
+			seed:      seed,
+			batched:   seed%2 == 0,
+			rackLocal: seed%3 != 0,
+			evacuate:  seed%4 == 0 || seed >= 6,
+			top:       top,
+		})
+	}
+	want := make([]string, len(configs))
+	for i, sc := range configs {
+		want[i], _ = runSynthetic(t, sc, Options{})
+	}
+	got := make([]string, len(configs))
+	t.Run("concurrent", func(t *testing.T) {
+		for i, sc := range configs {
+			i, sc := i, sc
+			t.Run(fmt.Sprintf("seed%d", sc.seed), func(t *testing.T) {
+				t.Parallel()
+				got[i], _ = runSynthetic(t, sc, Options{})
+			})
+		}
+	})
+	for i, sc := range configs {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d (batched=%v rackLocal=%v evacuate=%v): concurrent digest %s != sequential %s",
+				sc.seed, sc.batched, sc.rackLocal, sc.evacuate, got[i], want[i])
+		}
+	}
 }
 
 // A canceled flow must vanish from the per-link flow lists, and the moved
