@@ -35,7 +35,7 @@ func benchSetup(b *testing.B) (*core.RunResult, *core.Report) {
 		cfg := core.SmallRun()
 		cfg.Duration = time.Hour
 		cfg.DrainTime = 20 * time.Minute
-		rr, err := core.Simulate(cfg)
+		rr, err := core.Run(context.Background(), cfg)
 		if err != nil {
 			panic(err)
 		}
@@ -255,7 +255,7 @@ func ablationRun(b *testing.B, mutate func(*sched.Config)) *core.RunResult {
 	cfg.Duration = 30 * time.Minute
 	cfg.DrainTime = 10 * time.Minute
 	mutate(&cfg.Sched)
-	rr, err := core.Simulate(cfg)
+	rr, err := core.Run(context.Background(), cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func BenchmarkAblationMultipathFabric(b *testing.B) {
 		if multipath {
 			cfg.Topology.AggSwitches = 4
 		}
-		rr, err := core.Simulate(cfg)
+		rr, err := core.Run(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

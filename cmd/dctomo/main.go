@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -40,7 +41,7 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Sched.Seed = *seed
 	cfg.Sched.JobsPerHour = 150 * float64(*racks**servers) / 80
-	rr, err := dctraffic.Simulate(cfg)
+	rr, err := dctraffic.Run(context.Background(), cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dctomo:", err)
 		os.Exit(1)

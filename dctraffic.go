@@ -20,7 +20,7 @@
 // boundaries) and observable: RunResult.Metrics carries the final
 // snapshot of every netsim/cosmos/scope/trace series plus wall-clock
 // phase timings, and WithProgress / WithMetricsSink / WithObserver tune
-// what is reported where. Simulate is the options-free shorthand.
+// what is reported where.
 //
 // Analysis takes the same functional-option shape: AnalyzeRun for a
 // completed run, AnalyzeSource for a trace file streamed in bounded
@@ -62,11 +62,6 @@ type (
 	RunConfig = core.RunConfig
 	// RunResult carries the simulated cluster and its collected logs.
 	RunResult = core.RunResult
-	// AnalyzeOptions tunes the per-figure analyses.
-	//
-	// Deprecated: pass AnalyzeOption values to AnalyzeRun/AnalyzeSource
-	// instead.
-	AnalyzeOptions = core.AnalyzeOptions
 	// AnalyzeOption configures AnalyzeRun/AnalyzeSource (see the WithX
 	// analysis options below).
 	AnalyzeOption = core.AnalyzeOption
@@ -133,11 +128,6 @@ func PaperRun() RunConfig { return core.PaperRun() }
 func Run(ctx context.Context, cfg RunConfig, opts ...RunOption) (*RunResult, error) {
 	return core.Run(ctx, cfg, opts...)
 }
-
-// Simulate builds the cluster and runs the workload under socket-level
-// instrumentation. It is shorthand for Run with a background context and
-// default options.
-func Simulate(cfg RunConfig) (*RunResult, error) { return core.Simulate(cfg) }
 
 // WithProgress delivers a Progress report at every simulated-time batch
 // boundary (default every simulated minute).
@@ -229,11 +219,6 @@ func WithAnalyzeObserver(reg *Registry) AnalyzeOption { return core.WithAnalysis
 // the flow-level analyses.
 func WithInactivityTimeout(d Time) AnalyzeOption { return core.WithInactivityTimeout(d) }
 
-// WithCDFSampleCap bounds each whole-run CDF's exact sample count
-// before it degrades to a bounded-error quantile sketch; negative keeps
-// every CDF exact.
-func WithCDFSampleCap(n int) AnalyzeOption { return core.WithCDFSampleCap(n) }
-
 // WithAnalyzeProgress delivers a StreamProgress report at every window
 // boundary of the streaming sweep.
 func WithAnalyzeProgress(fn func(StreamProgress)) AnalyzeOption {
@@ -242,20 +227,6 @@ func WithAnalyzeProgress(fn func(StreamProgress)) AnalyzeOption {
 
 // NewTopology builds the cluster fabric for WithAnalyzeTopology.
 func NewTopology(cfg TopologyConfig) (*topology.Topology, error) { return topology.New(cfg) }
-
-// Analyze regenerates every figure of the paper from a run.
-//
-// Deprecated: use AnalyzeRun with functional options; this shim routes
-// through the same streaming pipeline and is bit-identical.
-func Analyze(rr *RunResult, opts AnalyzeOptions) *Report { return core.Analyze(rr, opts) }
-
-// AnalyzeContext is Analyze with cancellation.
-//
-// Deprecated: use AnalyzeRun, which takes the same knobs as functional
-// options.
-func AnalyzeContext(ctx context.Context, rr *RunResult, opts AnalyzeOptions) (*Report, error) {
-	return core.AnalyzeContext(ctx, rr, opts)
-}
 
 // HeatASCII renders a TM as an ASCII heat map of loge(Bytes) — a terminal
 // rendition of Figure 2.
@@ -266,17 +237,6 @@ func HeatASCII(m *Matrix, width int) string { return core.HeatASCII(m, width) }
 // cluster shape.
 func PaperModelFor(shape ClusterShape) ModelParams {
 	return model.PaperDefaultsFor(shape)
-}
-
-// PaperModel returns the §4.1 generative traffic model at the given
-// cluster shape.
-//
-// Deprecated: the positional ints are easy to transpose; use
-// PaperModelFor with a ClusterShape instead.
-func PaperModel(racks, serversPerRack, externalHosts int) ModelParams {
-	return model.PaperDefaultsFor(model.ClusterShape{
-		Racks: racks, ServersPerRack: serversPerRack, ExternalHosts: externalHosts,
-	})
 }
 
 // FitModel estimates model parameters from a measured server-level TM.

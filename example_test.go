@@ -15,7 +15,7 @@ func Example() {
 	cfg := dctraffic.SmallRun()
 	cfg.Duration = 15 * time.Minute
 	cfg.DrainTime = 5 * time.Minute
-	rr, err := dctraffic.Simulate(cfg)
+	rr, err := dctraffic.Run(context.Background(), cfg)
 	if err != nil {
 		panic(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -20,7 +21,7 @@ func main() {
 	cfg.Duration = 3 * time.Hour
 	cfg.DrainTime = 30 * time.Minute
 	fmt.Printf("simulating %v of cluster time...\n", cfg.Duration)
-	rr, err := dctraffic.Simulate(cfg)
+	rr, err := dctraffic.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,7 +22,7 @@ func main() {
 	cfg := dctraffic.SmallRun()
 	cfg.Duration = 2 * time.Hour
 	fmt.Printf("simulating %v...\n", cfg.Duration)
-	rr, err := dctraffic.Simulate(cfg)
+	rr, err := dctraffic.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

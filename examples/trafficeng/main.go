@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -21,7 +22,7 @@ func main() {
 	cfg := dctraffic.SmallRun()
 	cfg.Duration = time.Hour
 	fmt.Printf("simulating %v of cluster workload...\n", cfg.Duration)
-	rr, err := dctraffic.Simulate(cfg)
+	rr, err := dctraffic.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

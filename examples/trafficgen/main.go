@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -23,7 +24,7 @@ func main() {
 	cfg := dctraffic.SmallRun()
 	cfg.Duration = time.Hour
 	fmt.Println("step 1: measuring (1h cluster simulation)...")
-	rr, err := dctraffic.Simulate(cfg)
+	rr, err := dctraffic.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

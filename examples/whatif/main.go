@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -24,7 +25,7 @@ func main() {
 	cfg.Duration = time.Hour
 	cfg.DrainTime = 20 * time.Minute
 	fmt.Println("recording 1h of workload on the tree fabric...")
-	rr, err := dctraffic.Simulate(cfg)
+	rr, err := dctraffic.Run(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

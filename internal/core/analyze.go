@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"time"
 
 	"dctraffic/internal/congestion"
 	"dctraffic/internal/flows"
@@ -23,18 +24,23 @@ import (
 // functional-option pattern.
 type AnalyzeOption func(*analyzeConfig)
 
-// analyzeConfig is the resolved option set. It embeds the legacy
-// AnalyzeOptions struct — that struct remains the single definition of
-// the per-figure knobs (and of their defaults, via ApplyDefaults); the
-// WithX options and the deprecated struct-based shims both write here.
+// analyzeConfig is the resolved option set.
 type analyzeConfig struct {
-	AnalyzeOptions
-
 	top      *topology.Topology
 	duration netsim.Time
 	run      *RunResult
-	cdfCap   int
 	progress func(StreamProgress)
+
+	// parallelism bounds the worker goroutines (see WithParallelism).
+	parallelism int
+	// observer receives the pipeline's phases and counters (see
+	// WithAnalysisObserver).
+	observer *obs.Registry
+	// inactivityTimeout, when positive, applies the §3 flow-boundary
+	// methodology (see WithInactivityTimeout).
+	inactivityTimeout netsim.Time
+	// tomoCold disables tomography warm starts (see WithTomoCold).
+	tomoCold bool
 
 	// Fused-pipeline fields (see fused.go). live marks the source as a
 	// still-running simulation's LiveSource: the run-only inputs
@@ -80,7 +86,7 @@ func WithDuration(d netsim.Time) AnalyzeOption {
 // DefaultParallelism). Any value yields bit-identical results (see
 // parallel.go's determinism contract).
 func WithParallelism(n int) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Parallelism = n }
+	return func(c *analyzeConfig) { c.parallelism = n }
 }
 
 // WithTaskExecutor runs analysis tasks on a caller-provided shared
@@ -100,69 +106,26 @@ func WithTaskExecutor(ex Executor) AnalyzeOption {
 // simulator's registry it must not be read concurrently; the pipeline
 // touches it only from the coordinating goroutine.
 func WithAnalysisObserver(reg *obs.Registry) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Observer = reg }
+	return func(c *analyzeConfig) { c.observer = reg }
 }
 
-// WithFig2Window sets the short TM snapshot window (paper: 10 s).
-func WithFig2Window(w netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig2Window = w }
-}
-
-// WithFig2At sets the snapshot window start (default: mid-run).
-func WithFig2At(t netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig2At = t }
-}
-
-// WithCongestionThreshold sets C (default 0.7).
-func WithCongestionThreshold(c float64) AnalyzeOption {
-	return func(cfg *analyzeConfig) { cfg.CongestionThreshold = c }
-}
-
-// WithFig8Period sets the read-attempt grouping period (paper: a day).
-func WithFig8Period(d netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig8Period = d }
-}
-
-// WithFig10Bin sets the fine TM timescale (paper: 10 s).
-func WithFig10Bin(d netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.Fig10Bin = d }
-}
-
-// WithInactivityTimeout enables the §3 flow-boundary methodology before
-// the flow-level analyses: records sharing a five-tuple quiet for less
-// than the timeout merge into one flow.
+// WithInactivityTimeout applies the §3 flow-boundary methodology before
+// the flow-level analyses (Figures 9 and 11): records sharing a
+// five-tuple quiet for less than the timeout merge into one flow. The
+// simulator has exact flow boundaries, so this is off by default; turn
+// it on to study the methodology's effect.
 func WithInactivityTimeout(d netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.InactivityTimeout = d }
-}
-
-// WithTomoBin sets the tomography TM timescale (paper: 10 min).
-func WithTomoBin(d netsim.Time) AnalyzeOption {
-	return func(c *analyzeConfig) { c.TomoBin = d }
-}
-
-// WithTomoMaxTMs caps the tomography instances analyzed.
-func WithTomoMaxTMs(n int) AnalyzeOption {
-	return func(c *analyzeConfig) { c.TomoMaxTMs = n }
-}
-
-// WithJobPriorAlpha scales the §5.3 multiplier.
-func WithJobPriorAlpha(a float64) AnalyzeOption {
-	return func(c *analyzeConfig) { c.JobPriorAlpha = a }
+	return func(c *analyzeConfig) { c.inactivityTimeout = d }
 }
 
 // WithTomoCold disables warm-starting the sparsity-max simplex across
-// consecutive tomography windows.
+// consecutive tomography windows. Warm starts (the default) return a
+// different — equally valid — basic feasible solution for some windows,
+// which shifts the sparsity-max figure series; WithTomoCold reproduces
+// the pre-warm-start digests exactly. Tomogravity series are
+// bit-identical either way.
 func WithTomoCold() AnalyzeOption {
-	return func(c *analyzeConfig) { c.TomoCold = true }
-}
-
-// WithCDFSampleCap bounds the exact-sample count of each whole-run
-// streaming CDF (flow durations/rates, inter-arrivals, Figure 7 rates)
-// before it converts to a bounded quantile sketch. 0 selects
-// stats.DefaultCDFSampleCap; negative keeps every CDF exact regardless
-// of trace length (unbounded memory — the pre-streaming behavior).
-func WithCDFSampleCap(n int) AnalyzeOption {
-	return func(c *analyzeConfig) { c.cdfCap = n }
+	return func(c *analyzeConfig) { c.tomoCold = true }
 }
 
 // StreamProgress reports the sweep's position after each window
@@ -189,12 +152,61 @@ func WithStreamProgress(fn func(StreamProgress)) AnalyzeOption {
 	return func(c *analyzeConfig) { c.progress = fn }
 }
 
-// AnalyzeRun regenerates every figure from a completed run — the
-// functional-options successor of Analyze/AnalyzeContext. It streams
-// the run's records through AnalyzeSource; results are bit-identical
-// to analyzing a written-out trace of the same run.
+// AnalyzeRun regenerates every figure from a completed run. It streams
+// the run's records through AnalyzeSource; results are bit-identical to
+// analyzing a written-out trace of the same run.
 func AnalyzeRun(ctx context.Context, rr *RunResult, opts ...AnalyzeOption) (*Report, error) {
 	return AnalyzeSource(ctx, rr.Source(), append([]AnalyzeOption{WithRun(rr)}, opts...)...)
+}
+
+// The paper's fixed analysis methodology.
+const (
+	// fig2Window is Figure 2's snapshot window; Figures 3/4 and the
+	// Figure 2 pattern shares use windows ten times longer.
+	fig2Window = 10 * time.Second
+	// fig10Bin is the fine TM timescale whose lag-1 and lag-10 changes
+	// give Figure 10's τ=10 s and τ=100 s curves.
+	fig10Bin = 10 * time.Second
+	// tomoMaxTMs caps the tomography instances analyzed: a day of
+	// 10-minute TMs.
+	tomoMaxTMs = 144
+	// jobPriorAlpha scales the §5.3 job-prior multiplier.
+	jobPriorAlpha = 4
+)
+
+// figureParams are the analysis parameters that scale with the run
+// duration.
+type figureParams struct {
+	// fig2At is Figure 2's snapshot window start: mid-run.
+	fig2At netsim.Time
+	// fig8Period groups read attempts: one day, shrunk to duration/8
+	// for runs shorter than two days.
+	fig8Period netsim.Time
+	// tomoBin is the tomography TM timescale: 10-minute averages,
+	// shrunk to duration/12 for runs shorter than two hours.
+	tomoBin netsim.Time
+}
+
+// paramsFor derives the duration-scaled figure parameters.
+func paramsFor(duration netsim.Time) figureParams {
+	p := figureParams{
+		fig2At:     duration / 2,
+		fig8Period: 24 * time.Hour,
+		tomoBin:    10 * time.Minute,
+	}
+	if duration < 2*p.fig8Period {
+		p.fig8Period = duration / 8
+		if p.fig8Period <= 0 {
+			p.fig8Period = duration
+		}
+	}
+	if duration < 12*p.tomoBin {
+		p.tomoBin = duration / 12
+		if p.tomoBin <= 0 {
+			p.tomoBin = duration
+		}
+	}
+	return p
 }
 
 // maxSweepTime seals the window view after the source drains.
@@ -260,6 +272,7 @@ type tomoDeferred struct {
 // streamAnalysis is the coordinator state of one AnalyzeSource sweep.
 type streamAnalysis struct {
 	cfg      *analyzeConfig
+	params   figureParams
 	reg      *obs.Registry
 	top      *topology.Topology
 	duration netsim.Time
@@ -346,8 +359,8 @@ type streamAnalysis struct {
 // chunks), hands each closing window its own slice copy as a pool task
 // writing its own slot (rule 2), merges the completed slot prefix in
 // slot order on this goroutine (rule 3), and retires every record no
-// open window can reach. Whole-run statistics stay exact below the
-// WithCDFSampleCap sample cap and degrade to deterministic bounded
+// open window can reach. Whole-run statistics stay exact below
+// stats.DefaultCDFSampleCap samples and degrade to deterministic bounded
 // quantile sketches beyond it, so small-scale reports are bit-identical
 // to the in-memory path at any worker count while week-long traces run
 // in O(window) memory.
@@ -370,7 +383,6 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 	if cfg.duration <= 0 {
 		return nil, errors.New("core: AnalyzeSource needs a positive duration: pass WithRun or WithDuration")
 	}
-	cfg.AnalyzeOptions = cfg.AnalyzeOptions.ApplyDefaults(cfg.duration)
 	if cfg.live != nil && cfg.run == nil {
 		return nil, errors.New("core: fused analysis needs its run: use RunAnalyze")
 	}
@@ -378,14 +390,15 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 		return nil, fmt.Errorf("core: analyze canceled: %w", err)
 	}
 
-	workers := cfg.Parallelism
+	workers := cfg.parallelism
 	if workers <= 0 {
 		workers = DefaultParallelism()
 	}
-	reg := cfg.Observer
+	reg := cfg.observer
 
 	a := &streamAnalysis{
 		cfg:      &cfg,
+		params:   paramsFor(cfg.duration),
 		reg:      reg,
 		top:      cfg.top,
 		duration: cfg.duration,
@@ -437,28 +450,29 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 // run mode — the episode index and the tomography chain.
 func (a *streamAnalysis) setup() {
 	cfg := a.cfg
+	p := a.params
 	duration := a.duration
 
 	a.incast = congestion.NewIncastTracker(a.top)
-	a.ia = flows.NewInterArrivalTracker(a.top, cfg.cdfCap)
-	a.byFlows = stats.NewStreamCDF(cfg.cdfCap)
-	a.byBytes = stats.NewStreamCDF(cfg.cdfCap)
-	a.rates = stats.NewStreamCDF(cfg.cdfCap)
-	if cfg.InactivityTimeout > 0 {
-		a.reasm = flows.NewStreamReassembler(cfg.InactivityTimeout, a.consumeFlow)
+	a.ia = flows.NewInterArrivalTracker(a.top, stats.DefaultCDFSampleCap)
+	a.byFlows = stats.NewStreamCDF(stats.DefaultCDFSampleCap)
+	a.byBytes = stats.NewStreamCDF(stats.DefaultCDFSampleCap)
+	a.rates = stats.NewStreamCDF(stats.DefaultCDFSampleCap)
+	if cfg.inactivityTimeout > 0 {
+		a.reasm = flows.NewStreamReassembler(cfg.inactivityTimeout, a.consumeFlow)
 	}
 
 	if rr := cfg.run; rr != nil {
 		a.links = a.top.InterSwitchLinks()
-		a.fig7Overlap = stats.NewStreamCDF(cfg.cdfCap)
-		a.fig7All = stats.NewStreamCDF(cfg.cdfCap)
+		a.fig7Overlap = stats.NewStreamCDF(stats.DefaultCDFSampleCap)
+		a.fig7All = stats.NewStreamCDF(stats.DefaultCDFSampleCap)
 		a.tomoProblem = tomo.NewProblem(a.top)
-		a.tomoEst = a.tomoProblem.NewEstimator(tomo.EstimatorOptions{Cold: cfg.TomoCold})
+		a.tomoEst = a.tomoProblem.NewEstimator(tomo.EstimatorOptions{Cold: cfg.tomoCold})
 		a.xTrue = make([]float64, a.tomoProblem.NumPairs())
 		if !a.fused {
 			// Fused mode defers episode detection to finishRun: the link
 			// stats are still being written by the simulation here.
-			a.eps = congestion.Detect(rr.Net.Stats(), a.top, cfg.CongestionThreshold, a.links)
+			a.eps = congestion.Detect(rr.Net.Stats(), a.top, congestion.DefaultThreshold, a.links)
 			a.epIdx = congestion.NewEpisodeIndex(a.eps)
 			a.binSize = rr.Net.Stats().BinSize()
 		}
@@ -467,31 +481,31 @@ func (a *streamAnalysis) setup() {
 	// The window registry: every figure window, built from the duration
 	// alone, sorted by closing boundary. The suffix-minimum of window
 	// starts gives the retirement watermark once a prefix has closed.
-	sampleWindow := 10 * cfg.Fig2Window
+	sampleWindow := 10 * fig2Window
 	wins := []figWindow{
-		{kind: winFig2, from: cfg.Fig2At, to: cfg.Fig2At + cfg.Fig2Window},
-		{kind: winFig2Wide, from: cfg.Fig2At, to: cfg.Fig2At + sampleWindow},
+		{kind: winFig2, from: p.fig2At, to: p.fig2At + fig2Window},
+		{kind: winFig2Wide, from: p.fig2At, to: p.fig2At + sampleWindow},
 	}
 	a.fig34Slots = make([]fig34Slot, fig34Samples)
 	for k := 0; k < fig34Samples; k++ {
 		from := duration * netsim.Time(k) / fig34Samples
 		wins = append(wins, figWindow{kind: winFig34, idx: k, from: from, to: from + sampleWindow})
 	}
-	nBins := int((duration + cfg.Fig10Bin - 1) / cfg.Fig10Bin)
+	nBins := int((duration + fig10Bin - 1) / fig10Bin)
 	a.fig10Mats = make([]*tm.Matrix, nBins)
 	a.ring = tm.NewChangeRing(1, 10)
 	for i := 0; i < nBins; i++ {
-		from, to := tm.SeriesBinWindow(i, cfg.Fig10Bin, duration)
+		from, to := tm.SeriesBinWindow(i, fig10Bin, duration)
 		wins = append(wins, figWindow{kind: winFig10, idx: i, from: from, to: to})
 	}
 	if cfg.run != nil {
-		tomoWindows := int((duration + cfg.TomoBin - 1) / cfg.TomoBin)
-		if tomoWindows > cfg.TomoMaxTMs {
-			tomoWindows = cfg.TomoMaxTMs
+		tomoWindows := int((duration + p.tomoBin - 1) / p.tomoBin)
+		if tomoWindows > tomoMaxTMs {
+			tomoWindows = tomoMaxTMs
 		}
 		a.tomoSlots = make([]tomoSlot, tomoWindows)
 		for i := 0; i < tomoWindows; i++ {
-			from, to := tm.SeriesBinWindow(i, cfg.TomoBin, duration)
+			from, to := tm.SeriesBinWindow(i, p.tomoBin, duration)
 			wins = append(wins, figWindow{kind: winTomo, idx: i, from: from, to: to})
 		}
 	}
@@ -592,8 +606,9 @@ func (a *streamAnalysis) advance(boundary netsim.Time) error {
 }
 
 // checkRecord rejects a record no run on the topology could have
-// produced: an endpoint outside it, or an end before the start. The
-// error names the record by its 0-based index in source order.
+// produced: an endpoint outside it, an end before the start, or a
+// negative byte count. The error names the record by its 0-based index
+// in source order.
 func (a *streamAnalysis) checkRecord(r *trace.FlowRecord) error {
 	h := topology.ServerID(a.numHosts)
 	if r.Src < 0 || r.Src >= h || r.Dst < 0 || r.Dst >= h {
@@ -601,6 +616,9 @@ func (a *streamAnalysis) checkRecord(r *trace.FlowRecord) error {
 	}
 	if r.End < r.Start {
 		return fmt.Errorf("record %d: end %v before start %v", a.nRead, r.End, r.Start)
+	}
+	if r.Bytes < 0 {
+		return fmt.Errorf("record %d: negative byte count %d", a.nRead, r.Bytes)
 	}
 	return nil
 }
@@ -733,9 +751,8 @@ func (a *streamAnalysis) dispatch(w *figWindow) {
 // submissions and the tomography chain all happen in the same order the
 // two-phase path uses, so results are bit-identical.
 func (a *streamAnalysis) finishRun(ctx context.Context) error {
-	cfg := a.cfg
-	rr := cfg.run
-	a.eps = congestion.Detect(rr.Net.Stats(), a.top, cfg.CongestionThreshold, a.links)
+	rr := a.cfg.run
+	a.eps = congestion.Detect(rr.Net.Stats(), a.top, congestion.DefaultThreshold, a.links)
 	a.epIdx = congestion.NewEpisodeIndex(a.eps)
 	a.binSize = rr.Net.Stats().BinSize()
 	for _, chunk := range a.pendingChunks {
@@ -777,12 +794,12 @@ func (a *streamAnalysis) tomoWindow(i int, from, to netsim.Time, slice []trace.F
 	if err != nil {
 		return
 	}
-	mult := tomo.JobMultiplier(rr.Log, a.top, from, from+a.cfg.TomoBin, a.cfg.JobPriorAlpha)
+	mult := tomo.JobMultiplier(rr.Log, a.top, from, from+a.params.tomoBin, jobPriorAlpha)
 	a.ttj, err = est.TomogravityWithMultiplierInto(a.ttj, a.tb, mult)
 	if err != nil {
 		return
 	}
-	roleMult := tomo.RoleAwareMultiplier(rr.Log, a.top, from, from+a.cfg.TomoBin, a.cfg.JobPriorAlpha)
+	roleMult := tomo.RoleAwareMultiplier(rr.Log, a.top, from, from+a.params.tomoBin, jobPriorAlpha)
 	a.ttr, err = est.TomogravityWithMultiplierInto(a.ttr, a.tb, roleMult)
 	if err != nil {
 		return
@@ -878,7 +895,7 @@ func (a *streamAnalysis) mergeFigures(rep *Report) {
 	}
 
 	rep.Fig2 = Fig2Data{
-		From: cfg.Fig2At, To: cfg.Fig2At + cfg.Fig2Window,
+		From: a.params.fig2At, To: a.params.fig2At + fig2Window,
 		TM:       a.fig2M,
 		Patterns: a.fig2Patterns,
 	}
@@ -933,14 +950,14 @@ func (a *streamAnalysis) mergeFigures(rep *Report) {
 
 	mag := a.ring.Magnitude()
 	magPts := make([]stats.Point, len(mag))
-	binSec := cfg.Fig10Bin.Seconds()
+	binSec := fig10Bin.Seconds()
 	for i, v := range mag {
 		magPts[i] = stats.Point{X: float64(i) * binSec, Y: v / binSec}
 	}
 	ch10 := a.ring.Changes(0)
 	ch100 := a.ring.Changes(1)
 	rep.Fig10 = Fig10Data{
-		Bin:              cfg.Fig10Bin,
+		Bin:              fig10Bin,
 		Magnitude:        magPts,
 		Change10s:        ch10,
 		Change100s:       ch100,
@@ -1040,8 +1057,8 @@ func (a *streamAnalysis) congestionFigures(rep *Report) {
 		rep.Fig5 = Fig5Data{
 			Episodes:       a.eps,
 			LinksMonitored: len(a.links),
-			FracLinks10s:   congestion.FracLinksWithEpisodeAtLeast(a.eps, a.links, 10*timeSecond),
-			FracLinks100s:  congestion.FracLinksWithEpisodeAtLeast(a.eps, a.links, 100*timeSecond),
+			FracLinks10s:   congestion.FracLinksWithEpisodeAtLeast(a.eps, a.links, 10*time.Second),
+			FracLinks100s:  congestion.FracLinksWithEpisodeAtLeast(a.eps, a.links, 100*time.Second),
 			MeanConcurrent: stats.MeanInt(congestion.ConcurrencySeries(a.eps, a.binSize, a.duration)),
 			Correlation:    congestion.Correlate(a.eps),
 		}
@@ -1062,27 +1079,25 @@ func (a *streamAnalysis) congestionFigures(rep *Report) {
 			MedianAllMbps:     a.fig7All.Quantile(0.5),
 		}
 
-		numPeriods := int(a.duration / cfg.Fig8Period)
+		period := a.params.fig8Period
+		numPeriods := int(a.duration / period)
 		if numPeriods < 1 {
 			numPeriods = 1
 		}
-		days := congestion.ReadFailureImpact(rr.Log, rr.Records(), a.eps, a.top, cfg.Fig8Period, numPeriods)
+		days := congestion.ReadFailureImpact(rr.Log, rr.Records(), a.eps, a.top, period, numPeriods)
 		var increases []float64
 		for _, d := range days {
 			if d.CongestedReads > 0 && d.ClearReads > 0 {
 				increases = append(increases, d.IncreasePct)
 			}
 		}
-		rep.Fig8 = Fig8Data{Period: cfg.Fig8Period, Days: days, MedianIncreasePct: stats.Median(increases)}
+		rep.Fig8 = Fig8Data{Period: period, Days: days, MedianIncreasePct: stats.Median(increases)}
 
 		rep.Attribution = congestion.MergeAttribution(a.attrParts)
 	}
 
 	rep.Incast = a.incast.Audit(a.eps, a.binSize, a.duration, maxConns)
 }
-
-// timeSecond avoids importing time for two literals.
-const timeSecond = netsim.Time(1e9)
 
 func nonZero(xs []float64) []float64 {
 	var out []float64

@@ -25,7 +25,7 @@ func benchSim(b *testing.B) *RunResult {
 		cfg := SmallRun()
 		cfg.Duration = 30 * time.Minute
 		cfg.DrainTime = 10 * time.Minute
-		benchSimRR, benchSimErr = Simulate(cfg)
+		benchSimRR, benchSimErr = Run(context.Background(), cfg)
 	})
 	if benchSimErr != nil {
 		b.Fatal(benchSimErr)

@@ -10,8 +10,7 @@ import (
 	"dctraffic/internal/stats"
 )
 
-// mustAnalyze runs the functional-options pipeline and fails the test on
-// error — the test-side replacement for the deprecated Analyze shim.
+// mustAnalyze runs AnalyzeRun and fails the test on error.
 func mustAnalyze(tb testing.TB, rr *RunResult, opts ...AnalyzeOption) *Report {
 	tb.Helper()
 	rep, err := AnalyzeRun(context.Background(), rr, opts...)
@@ -35,7 +34,7 @@ func smallRun(t *testing.T) (*RunResult, *Report) {
 		cfg := SmallRun()
 		cfg.Duration = 90 * time.Minute
 		cfg.DrainTime = 20 * time.Minute
-		sharedRes, runErr = Simulate(cfg)
+		sharedRes, runErr = Run(context.Background(), cfg)
 		if runErr == nil {
 			sharedRep, runErr = AnalyzeRun(context.Background(), sharedRes)
 		}
@@ -47,14 +46,14 @@ func smallRun(t *testing.T) (*RunResult, *Report) {
 }
 
 // The incremental allocator must keep the pipeline deterministic: the
-// same seed through Simulate + Analyze yields a byte-identical headline
+// same seed through Run + AnalyzeRun yields a byte-identical headline
 // digest on repeated runs.
 func TestSameSeedIdenticalDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full SmallRun simulations")
 	}
 	digest := func() []byte {
-		rr, err := Simulate(SmallRun())
+		rr, err := Run(context.Background(), SmallRun())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,15 +69,20 @@ func TestSameSeedIdenticalDigest(t *testing.T) {
 	}
 }
 
+// withFullRecompute runs the simulator on its reference allocator, which
+// re-solves every flow on every step.
+func withFullRecompute() RunOption {
+	return func(o *runOptions) { o.fullRecompute = true }
+}
+
 // End-to-end A/B of the dirty-component allocator against a full
 // re-solve on every step: identical digests on a shortened run.
 func TestIncrementalAllocatorMatchesFullDigest(t *testing.T) {
-	digest := func(full bool) []byte {
+	digest := func(opts ...RunOption) []byte {
 		cfg := SmallRun()
 		cfg.Duration = 20 * time.Minute
 		cfg.DrainTime = 10 * time.Minute
-		cfg.FullRecompute = full
-		rr, err := Simulate(cfg)
+		rr, err := Run(context.Background(), cfg, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +92,7 @@ func TestIncrementalAllocatorMatchesFullDigest(t *testing.T) {
 		}
 		return j
 	}
-	inc, full := digest(false), digest(true)
+	inc, full := digest(), digest(withFullRecompute())
 	if string(inc) != string(full) {
 		t.Fatalf("incremental vs full recompute digests differ:\n%s\nvs\n%s", inc, full)
 	}
@@ -108,13 +112,13 @@ func TestSimulateProducesTraffic(t *testing.T) {
 }
 
 func TestSimulateRejectsBadConfig(t *testing.T) {
-	if _, err := Simulate(RunConfig{}); err == nil {
+	if _, err := Run(context.Background(), RunConfig{}); err == nil {
 		t.Fatal("zero duration should be rejected")
 	}
 	cfg := SmallRun()
 	cfg.Topology.Racks = -1
 	cfg.Duration = time.Minute
-	if _, err := Simulate(cfg); err == nil {
+	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("bad topology should be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -17,7 +18,7 @@ func traceDigest(t *testing.T) string {
 	cfg := SmallRun()
 	cfg.Duration = 20 * time.Minute
 	cfg.DrainTime = 10 * time.Minute
-	rr, err := Simulate(cfg)
+	rr, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

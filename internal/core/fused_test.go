@@ -31,7 +31,7 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 	}
 	for _, seed := range []uint64{1, 7} {
 		cfg := fusedTestConfig(seed)
-		rr, err := Simulate(cfg)
+		rr, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestRunAnalyzeReassemblyMatches(t *testing.T) {
 		t.Skip("two full simulations")
 	}
 	cfg := fusedTestConfig(1)
-	rr, err := Simulate(cfg)
+	rr, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

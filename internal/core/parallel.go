@@ -35,10 +35,10 @@ func DefaultParallelism() int {
 //
 // Under these rules the worker count only decides how many tasks run at
 // once — Parallelism: 1 executes the identical sharded algorithm on one
-// goroutine — so Analyze output is bit-identical at any parallelism.
+// goroutine — so the report is bit-identical at any parallelism.
 
 // task is one independent unit of analysis work. fn must touch only the
-// task's own result slot plus immutable shared state (the record view,
+// task's own result slot plus immutable shared state (the window slice,
 // topology, link stats, episode index).
 type task struct {
 	name string

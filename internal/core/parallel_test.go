@@ -119,7 +119,7 @@ func TestAnalyzeParallelDigestIdentity(t *testing.T) {
 		cfg.Duration = 20 * time.Minute
 		cfg.DrainTime = 10 * time.Minute
 		cfg.Seed = seed
-		rr, err := Simulate(cfg)
+		rr, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestAnalyzeParallelRace(t *testing.T) {
 	cfg := SmallRun()
 	cfg.Duration = 10 * time.Minute
 	cfg.DrainTime = 5 * time.Minute
-	rr, err := Simulate(cfg)
+	rr, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,10 @@
 // cluster, run the workload under instrumentation, and regenerate every
 // table and figure of the paper from the collected logs.
 //
-// The two entry points are Simulate (workload → socket-level logs) and
-// Analyze (logs → Report, one field per figure). cmd/dcanalyze and
-// bench_test.go are thin wrappers over these.
+// The entry points are Run (workload → socket-level logs), AnalyzeRun
+// and AnalyzeSource (logs → Report, one field per figure), and
+// RunAnalyze, which fuses the two. cmd/dcanalyze and bench_test.go are
+// thin wrappers over these.
 package core
 
 import (
@@ -43,11 +44,6 @@ type RunConfig struct {
 	// RateRecompute batches max-min recomputation for speed on long
 	// runs (default exact).
 	RateRecompute netsim.Time
-
-	// FullRecompute disables the simulator's dirty-component allocator
-	// and re-solves every flow on every recompute. Results are
-	// identical; the knob exists for validation and A/B timing.
-	FullRecompute bool
 
 	// Workers is read by nothing: the simulator runs its event loop on
 	// one goroutine.
@@ -157,6 +153,10 @@ type runOptions struct {
 	reg           *obs.Registry
 	regSet        bool
 	top           *topology.Topology
+
+	// fullRecompute runs the simulator on its reference allocator (see
+	// netsim.Network.UseFullRecompute). Only tests set it.
+	fullRecompute bool
 }
 
 // RunOption configures Run.
@@ -203,13 +203,6 @@ func WithObserver(reg *obs.Registry) RunOption {
 // sharing one across concurrent runs is safe and cannot affect results.
 func WithPrebuiltTopology(top *topology.Topology) RunOption {
 	return func(o *runOptions) { o.top = top }
-}
-
-// Simulate builds the cluster, runs the workload for the configured
-// duration plus drain, and returns the results. It is a thin wrapper
-// over Run with a background context and default options.
-func Simulate(cfg RunConfig) (*RunResult, error) {
-	return Run(context.Background(), cfg)
 }
 
 // Run builds the cluster and runs the workload under socket-level
@@ -279,8 +272,10 @@ func prepareRun(cfg RunConfig, opts ...RunOption) (*preparedRun, error) {
 	net := netsim.New(top, netsim.Options{
 		StatsBinSize:         cfg.UtilBinSize,
 		MinRecomputeInterval: cfg.RateRecompute,
-		FullRecompute:        cfg.FullRecompute,
 	})
+	if o.fullRecompute {
+		net.UseFullRecompute()
+	}
 	collector := trace.NewCollector(top, cfg.Trace)
 	net.AddObserver(collector)
 	log := &eventlog.Log{}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -22,7 +23,7 @@ func TestPaperScaleSmoke(t *testing.T) {
 	cfg := PaperRun()
 	cfg.Duration = 10 * time.Minute
 	cfg.DrainTime = 5 * time.Minute
-	rr, err := Simulate(cfg)
+	rr, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestMultipathReducesCongestion(t *testing.T) {
 		if multipath {
 			cfg.Topology.AggSwitches = 4
 		}
-		rr, err := Simulate(cfg)
+		rr, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

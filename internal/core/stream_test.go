@@ -64,7 +64,7 @@ func TestAnalyzeStreamMatchesInMemory(t *testing.T) {
 		cfg.Duration = 20 * time.Minute
 		cfg.DrainTime = 10 * time.Minute
 		cfg.Seed = seed
-		rr, err := Simulate(cfg)
+		rr, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,22 +134,11 @@ func TestAnalyzeTraceOnlyPathMatches(t *testing.T) {
 	}
 }
 
-// TestAnalyzeShimEquivalence keeps the deprecated struct-options
-// surface honest: Analyze must be a pure wrapper over the functional
-// options it deprecates.
-func TestAnalyzeShimEquivalence(t *testing.T) {
-	rr, _ := smallRun(t)
-	legacy := Analyze(rr, AnalyzeOptions{Parallelism: 2, TomoCold: true})
-	modern := mustAnalyze(t, rr, WithParallelism(2), WithTomoCold())
-	if got, want := reportDigest(t, legacy), reportDigest(t, modern); got != want {
-		t.Fatalf("deprecated Analyze digest %s != AnalyzeRun digest %s", got, want)
-	}
-}
-
 // TestAnalyzeSourceValidation nails the error contract of the new
 // entry point: a source without a topology or duration cannot be
 // analyzed, and a record no run on the topology could have produced —
-// an endpoint outside it, or an end before its start — fails the
+// an endpoint outside it, an end before its start, or a negative byte
+// count — fails the
 // analysis with an error naming the record's index in source order
 // instead of being silently absorbed.
 func TestAnalyzeSourceValidation(t *testing.T) {
@@ -182,6 +171,7 @@ func TestAnalyzeSourceValidation(t *testing.T) {
 		{"src outside topology", func(r *trace.FlowRecord) { r.Src = 99999 }},
 		{"dst negative", func(r *trace.FlowRecord) { r.Dst = -1 }},
 		{"end before start", func(r *trace.FlowRecord) { r.End = r.Start - 1 }},
+		{"negative bytes", func(r *trace.FlowRecord) { r.Bytes = -5 }},
 	} {
 		bad := append([]trace.FlowRecord(nil), recs...)
 		tc.corrupt(&bad[k])

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func jsonUnmarshal(data []byte, v any) error { return json.Unmarshal(data, v) }
@@ -60,27 +61,27 @@ func TestWriteTSVBadDir(t *testing.T) {
 	}
 }
 
+// TestApplyDefaults pins the figure parameters derived from the run
+// duration.
 func TestApplyDefaults(t *testing.T) {
-	// Long run: paper-style defaults.
-	o := AnalyzeOptions{}.ApplyDefaults(48 * 3600 * 1e9)
-	if o.Fig8Period != 24*3600*1e9 {
-		t.Fatalf("long-run Fig8Period = %v, want a day", o.Fig8Period)
+	// Long run: the paper's periods.
+	p := paramsFor(48 * time.Hour)
+	if p.fig8Period != 24*time.Hour {
+		t.Fatalf("long-run fig8Period = %v, want a day", p.fig8Period)
 	}
-	if o.TomoBin != 600*1e9 {
-		t.Fatalf("long-run TomoBin = %v, want 10m", o.TomoBin)
+	if p.tomoBin != 10*time.Minute {
+		t.Fatalf("long-run tomoBin = %v, want 10m", p.tomoBin)
+	}
+	if p.fig2At != 24*time.Hour {
+		t.Fatalf("long-run fig2At = %v, want mid-run", p.fig2At)
 	}
 	// Short run: periods shrink.
-	o = AnalyzeOptions{}.ApplyDefaults(3600 * 1e9)
-	if o.Fig8Period != 3600*1e9/8 {
-		t.Fatalf("short-run Fig8Period = %v", o.Fig8Period)
+	p = paramsFor(time.Hour)
+	if p.fig8Period != time.Hour/8 {
+		t.Fatalf("short-run fig8Period = %v", p.fig8Period)
 	}
-	if o.TomoBin != 3600*1e9/12 {
-		t.Fatalf("short-run TomoBin = %v", o.TomoBin)
-	}
-	// Explicit values survive.
-	o = AnalyzeOptions{CongestionThreshold: 0.9, TomoMaxTMs: 7}.ApplyDefaults(3600 * 1e9)
-	if o.CongestionThreshold != 0.9 || o.TomoMaxTMs != 7 {
-		t.Fatal("explicit options were overwritten")
+	if p.tomoBin != time.Hour/12 {
+		t.Fatalf("short-run tomoBin = %v", p.tomoBin)
 	}
 }
 

@@ -201,50 +201,6 @@ func TorInterArrivals(records []trace.FlowRecord, top *topology.Topology) []floa
 	return out
 }
 
-// ClusterInterArrivalsView is ClusterInterArrivals over an indexed
-// record view: the view's records are already start-sorted, so the gaps
-// fall out of one linear pass with no sort.
-func ClusterInterArrivalsView(v *trace.RecordView) []float64 {
-	recs := v.Records()
-	starts := make([]netsim.Time, len(recs))
-	for i, r := range recs {
-		starts[i] = r.Start
-	}
-	return interArrivalsOf(starts)
-}
-
-// ServerInterArrivalsView is ServerInterArrivals over an indexed record
-// view: per-server start times come from the view's posting lists
-// (already start-sorted), pooled in ascending ServerID order — the same
-// fixed pooling order as the slice-based version, without the per-call
-// map building and sorting.
-func ServerInterArrivalsView(v *trace.RecordView) []float64 {
-	var out []float64
-	for s := 0; s < v.NumServers(); s++ {
-		out = append(out, interArrivalsOf(v.ServerStarts(topology.ServerID(s)))...)
-	}
-	return out
-}
-
-// TorInterArrivalsView is TorInterArrivals over an indexed record view,
-// pooling the per-rack posting lists in ascending RackID order.
-func TorInterArrivalsView(v *trace.RecordView) []float64 {
-	var out []float64
-	for r := 0; r < v.NumRacks(); r++ {
-		out = append(out, interArrivalsOf(v.RackStarts(topology.RackID(r)))...)
-	}
-	return out
-}
-
-// ArrivalRatePerSecView reports the mean cluster-wide flow arrival rate
-// over [0, horizon), counting via the view's start index in O(log n).
-func ArrivalRatePerSecView(v *trace.RecordView, horizon netsim.Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	return float64(v.StartedBefore(horizon)) / horizon.Seconds()
-}
-
 // ArrivalRatePerSec reports the mean cluster-wide flow arrival rate over
 // [0, horizon).
 func ArrivalRatePerSec(records []trace.FlowRecord, horizon netsim.Time) float64 {

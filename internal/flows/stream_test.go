@@ -116,8 +116,8 @@ func TestStreamReassemblerBoundedPending(t *testing.T) {
 	}
 }
 
-// The tracker's CDFs and mode must agree with the offline View-based
-// pipeline: same sample multisets, hence identical query results under
+// The tracker's CDFs and mode must agree with the offline slice-based
+// functions: same sample multisets, hence identical query results under
 // the canonical-order CDF.
 func TestInterArrivalTrackerMatchesOffline(t *testing.T) {
 	top, err := topology.New(topology.SmallConfig())
@@ -138,10 +138,9 @@ func TestInterArrivalTrackerMatchesOffline(t *testing.T) {
 			Bytes: 1,
 		}
 	}
-	v := trace.NewRecordView(recs, top)
-	wantCluster := stats.NewCDF(ClusterInterArrivalsView(v))
-	wantTor := stats.NewCDF(TorInterArrivalsView(v))
-	serverGaps := ServerInterArrivalsView(v)
+	wantCluster := stats.NewCDF(ClusterInterArrivals(recs))
+	wantTor := stats.NewCDF(TorInterArrivals(recs, top))
+	serverGaps := ServerInterArrivals(recs, top)
 	wantServer := stats.NewCDF(serverGaps)
 	wantMode := ModeSpacing(serverGaps, 2, 100, 196)
 

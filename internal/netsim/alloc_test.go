@@ -120,7 +120,10 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 	top := topology.MustNew(topology.SmallConfig())
 	run := func(seed uint64, full bool, batch Time) (float64, []float64, []Time) {
 		r := stats.NewRNG(seed)
-		n := New(top, Options{FullRecompute: full, MinRecomputeInterval: batch})
+		n := New(top, Options{MinRecomputeInterval: batch})
+		if full {
+			n.UseFullRecompute()
+		}
 		var ends []Time
 		nf := 3 + r.IntN(25)
 		for i := 0; i < nf; i++ {
@@ -184,8 +187,9 @@ func TestIncrementalMatchesFullRecompute(t *testing.T) {
 			rackLocal: seed%3 != 0,
 			evacuate:  seed%4 == 0 || seed >= 16, // ≥ 9 evacuation-heavy variants
 		}
-		inc, incN := runSynthetic(t, sc, Options{})
-		full, fullN := runSynthetic(t, sc, Options{FullRecompute: true})
+		inc, incN := runSynthetic(t, sc)
+		sc.full = true
+		full, fullN := runSynthetic(t, sc)
 		if inc != full {
 			t.Fatalf("seed %d (batched=%v rackLocal=%v evacuate=%v): incremental digest %s != full %s (%d vs %d flows)",
 				seed, sc.batched, sc.rackLocal, sc.evacuate, inc, full, incN, fullN)
@@ -217,6 +221,7 @@ type synthConfig struct {
 	batched   bool // 10 ms MinRecomputeInterval (day-scale configuration)
 	rackLocal bool // 80% same-rack pairs (work-seeks-bandwidth shape)
 	evacuate  bool // periodic CancelWhere storms with bulk restarts
+	full      bool // reference allocator (UseFullRecompute)
 	// top, when set, is the topology to simulate on; nil builds a fresh
 	// SmallConfig topology for the run.
 	top *topology.Topology
@@ -226,16 +231,20 @@ type synthConfig struct {
 // flows whose completion callbacks chain replacement flows (so RNG draws
 // happen in completion order), plus optional evacuation storms. Returns
 // the trace digest and the number of flows ended.
-func runSynthetic(t *testing.T, sc synthConfig, opts Options) (string, int) {
+func runSynthetic(t *testing.T, sc synthConfig) (string, int) {
 	t.Helper()
 	top := sc.top
 	if top == nil {
 		top = topology.MustNew(topology.SmallConfig())
 	}
+	var opts Options
 	if sc.batched {
 		opts.MinRecomputeInterval = 10 * time.Millisecond
 	}
 	n := New(top, opts)
+	if sc.full {
+		n.UseFullRecompute()
+	}
 	d := &digestObserver{}
 	n.AddObserver(d)
 	r := stats.NewRNG(sc.seed)
@@ -316,7 +325,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	want := make([]string, len(configs))
 	for i, sc := range configs {
-		want[i], _ = runSynthetic(t, sc, Options{})
+		want[i], _ = runSynthetic(t, sc)
 	}
 	got := make([]string, len(configs))
 	t.Run("concurrent", func(t *testing.T) {
@@ -324,7 +333,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			i, sc := i, sc
 			t.Run(fmt.Sprintf("seed%d", sc.seed), func(t *testing.T) {
 				t.Parallel()
-				got[i], _ = runSynthetic(t, sc, Options{})
+				got[i], _ = runSynthetic(t, sc)
 			})
 		}
 	})

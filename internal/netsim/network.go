@@ -32,13 +32,6 @@ type Options struct {
 	// inter-switch links (the paper's congestion link set) plus all
 	// server up/downlinks when the topology is small (<= 512 hosts).
 	StatsLinks []topology.LinkID
-
-	// FullRecompute disables the dirty-component optimization and
-	// re-solves every flow on every recompute, as the original
-	// allocator did. The results are identical (components not sharing
-	// links with changed flows cannot change under max-min); the knob
-	// exists for validation and A/B timing.
-	FullRecompute bool
 }
 
 // Observer receives flow lifecycle notifications. The instrumentation
@@ -64,6 +57,10 @@ type Network struct {
 	Sim
 	top  *topology.Topology
 	opts Options
+
+	// fullRecompute selects the reference allocator (see
+	// UseFullRecompute).
+	fullRecompute bool
 
 	active   []*Flow
 	nextID   FlowID
@@ -171,6 +168,13 @@ func New(top *topology.Topology, opts Options) *Network {
 	}
 	return n
 }
+
+// UseFullRecompute switches the network to the reference allocator: every
+// recompute re-solves all active flows from scratch, as the original
+// allocator did, instead of only the dirty components. Results are
+// bit-identical (components not sharing links with changed flows cannot
+// change under max-min); the reference exists so tests can check that.
+func (n *Network) UseFullRecompute() { n.fullRecompute = true }
 
 // Top returns the topology.
 func (n *Network) Top() *topology.Topology { return n.top }
@@ -371,7 +375,7 @@ func (n *Network) step() {
 		}
 	}
 	n.pendingLocal = n.pendingLocal[:0]
-	if n.opts.FullRecompute {
+	if n.fullRecompute {
 		n.recomputeRates()
 	} else {
 		n.recomputeDirty()
@@ -449,7 +453,8 @@ func (n *Network) recomputeDirty() {
 }
 
 // recomputeRates re-solves every active flow from scratch (the
-// FullRecompute path, also used by benchmarks as the worst-case solve).
+// UseFullRecompute reference, also used by benchmarks as the worst-case
+// solve).
 func (n *Network) recomputeRates() {
 	n.recomputesFull++
 	// Drop the dirty bookkeeping: a full solve covers everything.

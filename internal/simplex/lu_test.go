@@ -22,7 +22,7 @@ func TestLUKernel(t *testing.T) {
 				a.Set(i, j, math.Floor(r.Float64()*10)-4) // forces row swaps
 			}
 		}
-		s := NewSolver(a, Options{})
+		s := NewSolver(a)
 		b := make([]float64, m)
 		for i := range b {
 			b[i] = 1

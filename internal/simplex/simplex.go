@@ -19,8 +19,8 @@
 //     factorization of the basis. Because the eta file replays exactly the
 //     arithmetic the dense tableau applies to each column, cold-start pivot
 //     sequences and results are bit-identical to the dense path.
-//   - the original dense tableau (dense.go), kept behind Options.Dense as
-//     the A/B reference.
+//   - the original dense tableau (dense_test.go), kept in test code as
+//     the reference the revised solver is pinned against.
 //
 // Consecutive tomography windows differ only in b, so a Solver additionally
 // offers WarmFeasibleBasic: a single-artificial primal repair from the
@@ -60,7 +60,7 @@ func Solve(a *linalg.Matrix, b, c []float64) (*Result, error) {
 	if len(b) != a.Rows || (c != nil && len(c) != a.Cols) {
 		panic("simplex: dimension mismatch")
 	}
-	res, err := NewSolver(a, Options{}).Solve(b, c)
+	res, err := NewSolver(a).Solve(b, c)
 	if err != nil {
 		return nil, err
 	}

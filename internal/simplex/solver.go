@@ -7,25 +7,19 @@ import (
 	"dctraffic/internal/linalg"
 )
 
-// Options configures a Solver.
-type Options struct {
-	// Dense routes every solve through the original dense-tableau
-	// implementation (dense.go), kept in-tree for A/B comparison.
-	Dense bool
-	// RefactorEvery bounds the eta-file length during warm-start repair:
-	// once that many etas have accumulated on top of the LU factors the
-	// basis is refactorized from scratch. <= 0 means the default (64).
-	// Cold solves never refactorize — their eta file replays the dense
-	// tableau's per-column arithmetic exactly, which is what makes cold
-	// results bit-identical to the dense path.
-	RefactorEvery int
-	// MaxWarmPivots caps the repair loop of a warm start; past it the
-	// solver falls back to a cold solve. Real tomography windows repair
-	// in roughly 2m-5m pivots, so the cap is stall insurance: well above
-	// that, still far below the ~40m pivots of the cold solve a fallback
-	// would re-run. <= 0 means the default (16m+16).
-	MaxWarmPivots int
-}
+// refactorEvery bounds the eta-file length during warm-start repair: once
+// that many etas have accumulated on top of the LU factors the basis is
+// refactorized from scratch. Cold solves never refactorize — their eta
+// file replays the dense tableau's per-column arithmetic exactly, which is
+// what makes cold results bit-identical to the dense reference.
+const refactorEvery = 64
+
+// maxWarmPivots caps the repair loop of a warm start on an m-row problem;
+// past it the solver falls back to a cold solve. Real tomography windows
+// repair in roughly 2m-5m pivots, so the cap is stall insurance: well
+// above that, still far below the ~40m pivots of the cold solve a fallback
+// would re-run.
+func maxWarmPivots(m int) int { return 16*m + 16 }
 
 // SolveStats describes the effort of the most recent solve on a Solver.
 type SolveStats struct {
@@ -59,10 +53,8 @@ type SolveStats struct {
 // 1e-6·(1+max|b|), non-zeros <= rank — with a cold-solve fallback whenever
 // verification (or the repair itself) fails.
 type Solver struct {
-	csc   *linalg.CSC
-	dense *linalg.Matrix // lazily materialized; Options.Dense path only
-	opts  Options
-	m, n  int // constraints, real variables (artificials are n..n+m-1)
+	csc  *linalg.CSC
+	m, n int // constraints, real variables (artificials are n..n+m-1)
 
 	sign  []float64 // per-row ±1 applied to A and b (dense negates b<0 rows)
 	bbar  []float64 // sign·b for the current solve
@@ -99,32 +91,18 @@ type Solver struct {
 	res   Result
 }
 
-// NewSolver builds a Solver for the constraint matrix a, which must not be
-// modified while the Solver lives.
-func NewSolver(a *linalg.Matrix, opts Options) *Solver {
-	s := newSolver(linalg.NewCSC(a), opts)
-	s.dense = a
-	return s
+// NewSolver builds a Solver for the constraint matrix a.
+func NewSolver(a *linalg.Matrix) *Solver {
+	return NewSolverFromCSC(linalg.NewCSC(a))
 }
 
 // NewSolverFromCSC builds a Solver sharing an existing column index (the
 // tomography routing matrix is indexed once per tomo.Problem and shared by
 // every solver bound to it).
-func NewSolverFromCSC(csc *linalg.CSC, opts Options) *Solver {
-	return newSolver(csc, opts)
-}
-
-func newSolver(csc *linalg.CSC, opts Options) *Solver {
+func NewSolverFromCSC(csc *linalg.CSC) *Solver {
 	m, n := csc.Rows, csc.Cols
-	if opts.RefactorEvery <= 0 {
-		opts.RefactorEvery = 64
-	}
-	if opts.MaxWarmPivots <= 0 {
-		opts.MaxWarmPivots = 16*m + 16
-	}
 	return &Solver{
 		csc:      csc,
-		opts:     opts,
 		m:        m,
 		n:        n,
 		sign:     make([]float64, m),
@@ -137,7 +115,7 @@ func newSolver(csc *linalg.CSC, opts Options) *Solver {
 		v:        make([]float64, m),
 		ax:       make([]float64, m),
 		aq:       make([]float64, m),
-		etaStart: make([]int, 1, 65),
+		etaStart: make([]int, 1, refactorEvery+1),
 		lu:       make([]float64, m*m),
 		luPerm:   make([]int, m),
 		prevSign: make([]float64, m),
@@ -154,9 +132,6 @@ func (s *Solver) Stats() SolveStats { return s.stats }
 func (s *Solver) Solve(b, c []float64) (*Result, error) {
 	if len(b) != s.m || (c != nil && len(c) != s.n) {
 		panic("simplex: dimension mismatch")
-	}
-	if s.opts.Dense {
-		return s.solveViaDense(b, c)
 	}
 	s.stats = SolveStats{}
 	return s.finishCold(b, c)
@@ -176,9 +151,6 @@ func (s *Solver) WarmFeasibleBasic(b []float64) (*Result, error) {
 	if len(b) != s.m {
 		panic("simplex: dimension mismatch")
 	}
-	if s.opts.Dense {
-		return s.solveViaDense(b, nil)
-	}
 	s.stats = SolveStats{}
 	if s.hasBasis {
 		if res, ok := s.tryWarm(b); ok {
@@ -189,20 +161,6 @@ func (s *Solver) WarmFeasibleBasic(b []float64) (*Result, error) {
 		s.stats.FellBack = true
 	}
 	return s.finishCold(b, nil)
-}
-
-func (s *Solver) solveViaDense(b, c []float64) (*Result, error) {
-	if s.dense == nil {
-		s.dense = s.csc.Dense()
-	}
-	s.stats = SolveStats{}
-	s.hasBasis = false
-	res, err := solveDense(s.dense, b, c)
-	if err != nil {
-		return nil, err
-	}
-	s.stats.Pivots = res.Iters
-	return res, nil
 }
 
 func (s *Solver) finishCold(b, c []float64) (*Result, error) {
@@ -565,7 +523,7 @@ func (s *Solver) repairPrimal(rstar int, tol float64) bool {
 		if zrow < 0 {
 			return true // the virtual left the basis: feasible
 		}
-		if pivots > s.opts.MaxWarmPivots {
+		if pivots > maxWarmPivots(s.m) {
 			return false
 		}
 		for i := range s.y {
@@ -610,7 +568,7 @@ func (s *Solver) repairPrimal(rstar int, tol float64) bool {
 		if !s.clampOrBail(tol) {
 			return false
 		}
-		if len(s.etaRow) >= s.opts.RefactorEvery {
+		if len(s.etaRow) >= refactorEvery {
 			// Refactorization swaps only the representation used by ftran
 			// and btran; x_B stays incrementally updated (like the dense
 			// tableau's b column) — recomputing it as B⁻¹b̄ would undo the

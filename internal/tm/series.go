@@ -63,52 +63,9 @@ func ServerMatrix(records []trace.FlowRecord, numHosts int, from, to netsim.Time
 	return m
 }
 
-// ServerMatrixView is ServerMatrix over an indexed record view: the
-// window's records are located in O(log n + |window|) instead of a full
-// scan. The per-record byte spreading is identical, and the view's
-// start order fixes the accumulation order, so two calls with the same
-// view and window are bit-identical regardless of the caller's
-// parallelism.
-func ServerMatrixView(v *trace.RecordView, numHosts int, from, to netsim.Time) *Matrix {
-	m := NewMatrix(numHosts)
-	bin := to - from
-	if bin <= 0 {
-		panic("tm: empty window")
-	}
-	v.Overlapping(from, to, func(r trace.FlowRecord) {
-		if int(r.Src) >= numHosts || int(r.Dst) >= numHosts {
-			return
-		}
-		spread(r, bin, from, to, func(_ int, b float64) {
-			m.Add(int(r.Src), int(r.Dst), b)
-		})
-	})
-	return m
-}
-
-// TorMatrixView is TorMatrix over an indexed record view (see
-// ServerMatrixView).
-func TorMatrixView(v *trace.RecordView, top *topology.Topology, from, to netsim.Time) *Matrix {
-	m := NewMatrix(top.NumRacks())
-	bin := to - from
-	if bin <= 0 {
-		panic("tm: empty window")
-	}
-	v.Overlapping(from, to, func(r trace.FlowRecord) {
-		rs, rd := top.Rack(r.Src), top.Rack(r.Dst)
-		if rs < 0 || rd < 0 || rs == rd {
-			return
-		}
-		spread(r, bin, from, to, func(_ int, b float64) {
-			m.Add(int(rs), int(rd), b)
-		})
-	})
-	return m
-}
-
 // SeriesBinWindow returns the [from, to) span of bin i in a series of
 // the given bin size clamped to horizon — the per-bin window that makes
-// ServerMatrixView(v, n, from, to) equal to ServerSeries' bin i (the
+// ServerMatrix(records, n, from, to) equal to ServerSeries' bin i (the
 // spreading arithmetic clamps identically at the horizon).
 func SeriesBinWindow(i int, bin, horizon netsim.Time) (from, to netsim.Time) {
 	from = netsim.Time(i) * bin

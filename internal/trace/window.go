@@ -7,10 +7,10 @@ import (
 	"dctraffic/internal/netsim"
 )
 
-// WindowView is the sliding-window counterpart of RecordView: it holds
-// only the records that windows not yet retired can still reach, and it
-// exposes the identical O(log n + |window|) slicing contract over that
-// buffer. The analysis coordinator Appends records in canonical
+// WindowView is a sliding, time-indexed view over a canonical-order
+// record stream: it holds only the records that windows not yet retired
+// can still reach, and answers "all records overlapping [from, to)" in
+// O(log n + |window|) over that buffer. The analysis coordinator Appends records in canonical
 // (Start, ID) order as the source delivers them, Seals the delivery
 // watermark up to each window boundary, hands each closing figure
 // window its own Slice copy, and Retires everything older than the
@@ -78,7 +78,7 @@ func (w *WindowView) Seal(t netsim.Time) {
 }
 
 // overlapRange computes the buffer index range that can overlap
-// [from, to), exactly as RecordView does: hi is the first record with
+// [from, to): hi is the first record with
 // Start >= to; lo starts at the first index whose running max-End
 // exceeds from, clamped down to the first Start >= from so
 // instantaneous records at the boundary are not skipped.
@@ -101,9 +101,9 @@ func (w *WindowView) checkWindow(from, to netsim.Time) {
 	}
 }
 
-// overlaps reports whether r is active in [from, to), matching
-// RecordView.Overlapping's filter (instantaneous records count in the
-// window containing their start).
+// overlaps reports whether r is active in [from, to) — the predicate
+// windowed aggregations (tm spreading) draw bytes from; instantaneous
+// records count in the window containing their start.
 func overlaps(r *FlowRecord, from, to netsim.Time) bool {
 	if r.Start >= to {
 		return false

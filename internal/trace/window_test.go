@@ -5,7 +5,48 @@ import (
 	"time"
 
 	"dctraffic/internal/netsim"
+	"dctraffic/internal/stats"
+	"dctraffic/internal/topology"
 )
+
+// randomRecords builds a record set with the shapes that stress the
+// index: long flows spanning many windows, instantaneous records, flows
+// touching external hosts, and duplicate start times.
+func randomRecords(t *testing.T, top *topology.Topology, n int, horizon netsim.Time) []FlowRecord {
+	t.Helper()
+	rng := stats.NewRNG(42).Fork("view_test")
+	hosts := top.NumHosts()
+	out := make([]FlowRecord, n)
+	for i := range out {
+		start := netsim.Time(rng.Float64() * float64(horizon))
+		var dur netsim.Time
+		switch rng.IntN(4) {
+		case 0: // instantaneous
+		case 1: // long-lived
+			dur = netsim.Time(rng.Float64() * float64(horizon) / 4)
+		default: // short
+			dur = netsim.Time(rng.Float64() * float64(10*time.Second))
+		}
+		out[i] = FlowRecord{
+			ID:    netsim.FlowID(i),
+			Src:   topology.ServerID(rng.IntN(hosts)),
+			Dst:   topology.ServerID(rng.IntN(hosts)),
+			Start: start,
+			End:   start + dur,
+			Bytes: int64(rng.IntN(1 << 20)),
+		}
+	}
+	return out
+}
+
+func testTopology(t *testing.T) *topology.Topology {
+	t.Helper()
+	top, err := topology.New(topology.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return top
+}
 
 // feedWindow appends records (canonically sorted) and seals up to t.
 func feedWindow(t *testing.T, w *WindowView, recs []FlowRecord, seal netsim.Time) {
@@ -18,40 +59,83 @@ func feedWindow(t *testing.T, w *WindowView, recs []FlowRecord, seal netsim.Time
 	w.Seal(seal)
 }
 
-// WindowView.Overlapping must agree with RecordView.Overlapping —
-// identical record sequence for every window — since windowed figure
-// tasks were rebased from the one onto the other.
+// naiveOverlapping is the reference overlap query: a full scan of the
+// canonically sorted records with the predicate windowed aggregations
+// (tm spreading) draw bytes from.
+func naiveOverlapping(recs []FlowRecord, from, to netsim.Time) []FlowRecord {
+	var out []FlowRecord
+	for _, r := range canonicalCopy(recs) {
+		if r.Start < to && (r.End > from || (r.End == r.Start && r.Start >= from)) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// sameRecords fails unless got and want hold identical records in the
+// same order.
+func sameRecords(t *testing.T, what string, got, want []FlowRecord) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d is %d, want %d (order or membership mismatch)", what, i, got[i].ID, want[i].ID)
+		}
+	}
+}
+
+// queryWindows covers the whole run, short and long spans, windows
+// past the data, an empty window, and 50 random spans.
+func queryWindows(horizon netsim.Time) [][2]netsim.Time {
+	windows := [][2]netsim.Time{
+		{0, horizon},
+		{0, time.Second},
+		{horizon / 2, horizon/2 + 10*time.Second},
+		{horizon - time.Minute, horizon},
+		{horizon / 3, horizon / 2},
+		{horizon, horizon + time.Minute}, // beyond the data
+		{horizon / 3, horizon / 3},       // empty window
+	}
+	rng := stats.NewRNG(7).Fork("windows")
+	for i := 0; i < 50; i++ {
+		from := netsim.Time(rng.Float64() * float64(horizon))
+		windows = append(windows, [2]netsim.Time{from, from + netsim.Time(rng.Float64()*float64(time.Minute))})
+	}
+	return windows
+}
+
+// The overlap query must agree with the naive full-scan filter for
+// every window, and visit records in canonical order.
+func TestViewOverlappingMatchesNaiveFilter(t *testing.T) {
+	top := testTopology(t)
+	horizon := netsim.Time(10 * time.Minute)
+	recs := randomRecords(t, top, 5000, horizon)
+	wv := NewWindowView()
+	feedWindow(t, wv, recs, horizon*2)
+
+	for _, win := range queryWindows(horizon) {
+		from, to := win[0], win[1]
+		var got []FlowRecord
+		wv.Overlapping(from, to, func(r FlowRecord) { got = append(got, r) })
+		sameRecords(t, "Overlapping", got, naiveOverlapping(recs, from, to))
+	}
+}
+
+// Slice must return the same records as the naive [from, to) filter
+// over the canonically sorted records, in the same order, for every
+// window.
 func TestWindowViewMatchesRecordView(t *testing.T) {
 	top := testTopology(t)
 	horizon := netsim.Time(10 * time.Minute)
 	recs := randomRecords(t, top, 5000, horizon)
-	rv := NewRecordView(recs, top)
 	wv := NewWindowView()
 	feedWindow(t, wv, recs, horizon*2)
 
-	windows := [][2]netsim.Time{
-		{0, horizon},
-		{0, netsim.Time(time.Second)},
-		{horizon / 2, horizon/2 + netsim.Time(10*time.Second)},
-		{horizon - netsim.Time(time.Minute), horizon},
-		{horizon / 3, horizon / 2},
-	}
-	for _, win := range windows {
-		var want, got []FlowRecord
-		rv.Overlapping(win[0], win[1], func(r FlowRecord) { want = append(want, r) })
-		wv.Overlapping(win[0], win[1], func(r FlowRecord) { got = append(got, r) })
-		if len(want) != len(got) {
-			t.Fatalf("window [%v,%v): %d records via WindowView, want %d", win[0], win[1], len(got), len(want))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("window [%v,%v): record %d mismatch", win[0], win[1], i)
-			}
-		}
-		slice := wv.Slice(win[0], win[1])
-		if len(slice) != len(want) {
-			t.Fatalf("Slice [%v,%v): %d records, want %d", win[0], win[1], len(slice), len(want))
-		}
+	for _, win := range queryWindows(horizon) {
+		from, to := win[0], win[1]
+		sameRecords(t, "Slice", wv.Slice(from, to), naiveOverlapping(recs, from, to))
 	}
 }
 
@@ -76,19 +160,10 @@ func TestWindowViewRetirementContract(t *testing.T) {
 		t.Fatal("no records reported retired")
 	}
 
-	// Windows at or above the watermark still work and match a fresh view.
-	rv := NewRecordView(recs, top)
-	var want, got []FlowRecord
-	rv.Overlapping(mid, horizon, func(r FlowRecord) { want = append(want, r) })
+	// Windows at or above the watermark still work and match a full scan.
+	var got []FlowRecord
 	wv.Overlapping(mid, horizon, func(r FlowRecord) { got = append(got, r) })
-	if len(want) != len(got) {
-		t.Fatalf("post-retirement window: %d records, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("post-retirement window: record %d mismatch", i)
-		}
-	}
+	sameRecords(t, "post-retirement window", got, naiveOverlapping(recs, mid, horizon))
 
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
