@@ -37,106 +37,22 @@ func DefaultParallelism() int {
 // once — Parallelism: 1 executes the identical sharded algorithm on one
 // goroutine — so the report is bit-identical at any parallelism.
 
-// task is one independent unit of analysis work. fn must touch only the
-// task's own result slot plus immutable shared state (the window slice,
-// topology, link stats, episode index).
-type task struct {
-	name string
-	fn   func()
-}
-
-// runTasks executes tasks on up to workers goroutines and waits for all
-// of them. Tasks are claimed by atomic counter, so completion order is
-// nondeterministic — which is fine, because merging happens afterwards
-// on the caller's goroutine (rule 3 above). A task panic is re-raised
-// on the caller once the group drains. Cancellation stops workers from
-// claiming further tasks and reports ctx.Err().
-func runTasks(ctx context.Context, workers int, tasks []task) error {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			t.fn()
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var panicked atomic.Value
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					panicked.CompareAndSwap(nil, p)
-				}
-			}()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				tasks[i].fn()
-			}
-		}()
-	}
-	wg.Wait()
-	if p := panicked.Load(); p != nil {
-		panic(p)
-	}
-	return ctx.Err()
-}
-
-// shardRanges splits n items into [lo, hi) ranges of roughly target
-// items each, capped at maxShards ranges. The shard count depends only
-// on n and target (rule 1), so per-shard partial results and their
-// fixed-order merge are reproducible at any worker count.
-func shardRanges(n, target, maxShards int) [][2]int {
-	if n <= 0 {
-		return nil
-	}
-	if target <= 0 {
-		target = 1
-	}
-	k := (n + target - 1) / target
-	if k < 1 {
-		k = 1
-	}
-	if k > maxShards {
-		k = maxShards
-	}
-	out := make([][2]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = [2]int{i * n / k, (i + 1) * n / k}
-	}
-	return out
-}
-
-// recordShardTarget sizes record shards (Fig 7 join, attribution,
-// Fig 9 CDFs): big enough that per-shard overhead is noise, small
-// enough that a paper-scale run (~2M records) fans out well. The
-// streaming pipeline uses the same constant as its chunk size, so at
-// trace scale a chunk task costs the same as a shard task did.
+// recordShardTarget sizes the streaming pipeline's record chunks (Fig 7
+// join, attribution, Fig 9 CDFs): big enough that per-chunk overhead is
+// noise, small enough that a paper-scale run (~2M records) fans out
+// well.
 const recordShardTarget = 1 << 17
 
-// maxRecordShards bounds the fan-out (and the slot arrays).
-const maxRecordShards = 32
-
 // streamPool runs figure-window and record-chunk tasks for the
-// streaming pipeline. Unlike runTasks it accepts work incrementally —
-// tasks are submitted as the sweep closes windows — but the same
-// three-rule contract applies: every submitted task writes one
-// pre-sized slot, and the coordinator merges completed slots in
-// submission order via the per-task done channels (the "ready prefix"),
-// never in completion order. The task channel's small buffer is the
-// pipeline's backpressure: a slow pool blocks the sweep, bounding
-// in-flight window copies and unmerged slots by O(workers), which is
-// what keeps streaming analysis memory O(window).
+// streaming pipeline. It accepts work incrementally — tasks are
+// submitted as the sweep closes windows — under the three-rule contract
+// above: every submitted task writes one pre-sized slot, and the
+// coordinator merges completed slots in submission order via the
+// per-task done channels (the "ready prefix"), never in completion
+// order. The task channel's small buffer is the pipeline's
+// backpressure: a slow pool blocks the sweep, bounding in-flight window
+// copies and unmerged slots by O(workers), which is what keeps
+// streaming analysis memory O(window).
 type streamPool struct {
 	ctx    context.Context
 	seq    bool

@@ -82,21 +82,6 @@ func BenchmarkWriteJSONLGz(b *testing.B) {
 	}
 }
 
-// FuzzReadJSONL ensures arbitrary input never panics the parser.
-func FuzzReadJSONL(f *testing.F) {
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, sampleRecords(3)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte(""))
-	f.Add([]byte("{\"id\":1}\n{bad"))
-	f.Add([]byte("null\nnull\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = ReadJSONL(bytes.NewReader(data)) // must not panic
-	})
-}
-
 // FuzzReadJSONLGz ensures arbitrary input never panics the gzip path.
 func FuzzReadJSONLGz(f *testing.F) {
 	var buf bytes.Buffer

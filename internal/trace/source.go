@@ -81,10 +81,13 @@ const (
 // sorted and spilled to a temporary file, and the spill files are
 // k-way merged (multi-pass above mergeFanIn inputs). A trace that fits
 // in one chunk never touches disk. Memory is O(SortChunk) during
-// loading and O(fan-in) during streaming. Spills use the binary codec
-// (binary.go) — spill/merge is internal I/O, invisible to callers, and
-// the fixed-width format parses several times faster than JSONL —
-// while JSONL stays the interchange format of the trace file itself.
+// loading and O(fan-in) during streaming. Canonical JSONL lines decode
+// without reflection and anything else through encoding/json (see
+// Reader). Spills use the binary codec (binary.go) — spill/merge is
+// internal I/O, invisible to callers, and the fixed-width format is
+// ~3× denser and still reads faster (2.2 ms vs 4.3 ms per 10 k
+// canonical records, BENCH_trace.json) — while JSONL stays the
+// interchange format of the trace file itself.
 //
 // Collector output is nearly sorted already (completion order), so
 // spill chunks overlap only slightly and the merge heap stays shallow.

@@ -17,6 +17,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -324,19 +325,49 @@ func (w *Writer) Count() int { return w.n }
 func (w *Writer) Flush() error { return w.bw.Flush() }
 
 // Reader streams flow records from a JSONL trace one record at a time.
+// Canonical lines (jsonl.go) decode without reflection; from the first
+// line that is not canonical on, the rest of the stream goes through
+// encoding/json, so every input reads as a json.Decoder would read it.
 type Reader struct {
-	dec *json.Decoder
+	br  *bufio.Reader
+	dec *json.Decoder // set once the stream leaves the canonical form
 	n   int
 }
 
 // NewReader returns a streaming JSONL trace reader over r.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{dec: json.NewDecoder(bufio.NewReader(r))}
+	return &Reader{br: bufio.NewReader(r)}
 }
 
 // Read returns the next record. It returns io.EOF (unwrapped) at the
 // end of the stream.
 func (r *Reader) Read() (FlowRecord, error) {
+	if r.dec == nil {
+		var rec FlowRecord
+		line, err := r.br.ReadSlice('\n')
+		if err == nil && parseLine(line, &rec) {
+			r.n++
+			return rec, nil
+		}
+		if err == io.EOF && len(line) == 0 {
+			return rec, io.EOF
+		}
+		// The decoder starts over at this line. ReadSlice's buffer is
+		// reused by the next read, so the line is copied; a read error
+		// other than a full buffer or EOF stays pending behind it.
+		rest := io.Reader(r.br)
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+			rest = errReader{err}
+		}
+		r.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(bytes.Clone(line)), rest))
+	}
+	return r.decode()
+}
+
+// decode reads the next record through encoding/json. It is apart from
+// Read because Decode's pointer argument escapes, and the fast path's
+// record should not be moved to the heap with it.
+func (r *Reader) decode() (FlowRecord, error) {
 	var rec FlowRecord
 	if err := r.dec.Decode(&rec); err == io.EOF {
 		return rec, io.EOF
@@ -346,6 +377,11 @@ func (r *Reader) Read() (FlowRecord, error) {
 	r.n++
 	return rec, nil
 }
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // WriteJSONL writes a fully-materialized record slice as JSONL — a
 // convenience over Writer for in-memory traces.
