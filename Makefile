@@ -88,13 +88,13 @@ bench:
 # PRs can see the perf trajectory. The tomo pair is the warm-start
 # headline: one cold paper-scale sparsity-max solve vs the steady-state
 # warm window. The trace snapshot covers the JSONL and binary record
-# codecs.
+# codecs and the gzip-compressed JSONL upload path (§2).
 bench-snapshot:
 	$(GO) test -bench . -benchmem -run '^$$' ./internal/netsim | $(GO) run ./cmd/benchjson > BENCH_netsim.json
 	$(GO) test -bench 'BenchmarkAnalyze|BenchmarkRunAnalyze' -benchmem -run '^$$' ./internal/core | $(GO) run ./cmd/benchjson > BENCH_analyze.json
 	$(GO) test -bench 'BenchmarkSparsityMax' -benchmem -run '^$$' -timeout 30m ./internal/tomo | $(GO) run ./cmd/benchjson > BENCH_tomo.json
 	$(GO) test -bench 'BenchmarkFleet' -benchmem -run '^$$' ./internal/fleet | $(GO) run ./cmd/benchjson > BENCH_fleet.json
-	$(GO) test -bench '^Benchmark(Read|Write)(JSONL|Binary)$$' -benchmem -run '^$$' ./internal/trace | $(GO) run ./cmd/benchjson > BENCH_trace.json
+	$(GO) test -bench '^Benchmark((Read|Write)(JSONL|Binary)|WriteJSONLGz)$$' -benchmem -run '^$$' ./internal/trace | $(GO) run ./cmd/benchjson > BENCH_trace.json
 
 # Regenerate every figure's data series into ./figures (laptop scale, 2 h).
 figures:

@@ -49,6 +49,9 @@ type analyzeConfig struct {
 	live    *trace.LiveSource
 	liveCap int
 	runOpts []RunOption
+	// sample carries the run's first trace.CompressionSample records
+	// from the simulator goroutine as soon as they are final.
+	sample <-chan []trace.FlowRecord
 
 	// exec, when non-nil, runs analysis tasks on a caller-provided
 	// shared pool instead of per-analysis goroutines (see
@@ -259,6 +262,13 @@ type chunkResult struct {
 	attr         congestion.Attribution
 }
 
+// compressSlot holds the compression task's result: the §2 gzip ratio
+// of the run's first trace.CompressionSample records.
+type compressSlot struct {
+	ratio float64
+	err   error
+}
+
 // tomoDeferred is one tomography window parked by the fused pipeline:
 // the window slice is captured at its sweep boundary (identical to the
 // two-phase slice) but solved only after the simulation drains, because
@@ -286,6 +296,11 @@ type streamAnalysis struct {
 	fused         bool
 	pendingChunks [][]trace.FlowRecord
 	tomoPending   []tomoDeferred
+
+	// compress is the compression task's slot, set when it is
+	// submitted: at the start in two-phase mode; in fused mode when the
+	// simulator hands over the sample, or at EOF for a shorter run.
+	compress *compressSlot
 
 	src    trace.Source
 	peeked *trace.FlowRecord
@@ -416,6 +431,11 @@ func AnalyzeSource(ctx context.Context, src trace.Source, opts ...AnalyzeOption)
 	a.pool = newStreamPoolExec(ctx, workers, cfg.exec)
 
 	stopFigures := reg.StartPhase("analyze.figures")
+	if cfg.run != nil && !a.fused {
+		// The run is final: measure its compression ratio alongside the
+		// sweep.
+		a.submitCompression(cfg.run.Records())
+	}
 	if err := a.sweep(ctx); err != nil {
 		a.pool.wait() // cleanup; a task panic re-raises here
 		if ctx.Err() != nil {
@@ -546,6 +566,7 @@ func (a *streamAnalysis) sweep(ctx context.Context) error {
 			i++
 		}
 		a.drainReady(false)
+		a.pollSample()
 		a.wv.Retire(a.sufMin[i])
 		a.reg.Gauge("analyze.stream.peak_buffered_records").SetMax(float64(a.wv.Buffered()))
 		if a.cfg.progress != nil {
@@ -692,6 +713,29 @@ func (a *streamAnalysis) submitChunk(chunk []trace.FlowRecord) {
 	}))
 }
 
+// pollSample submits the compression task if the fused simulator has
+// handed over its sample (sent once; the channel is nil outside fused
+// mode). It never blocks.
+func (a *streamAnalysis) pollSample() {
+	select {
+	case recs := <-a.cfg.sample:
+		a.submitCompression(recs)
+	default:
+	}
+}
+
+// submitCompression hands the compression measurement of recs' first
+// trace.CompressionSample records to the pool. recs must be final.
+func (a *streamAnalysis) submitCompression(recs []trace.FlowRecord) {
+	recs = recs[:min(len(recs), trace.CompressionSample)]
+	slot := &compressSlot{}
+	a.compress = slot
+	a.taskCnt.Inc()
+	a.pool.submit(func() {
+		slot.ratio, slot.err = trace.MeasureCompression(recs)
+	})
+}
+
 // dispatch hands a closing window its slice copy: matrix windows go to
 // the pool, tomography windows run inline so the warm-start chain stays
 // on the coordinator.
@@ -752,6 +796,11 @@ func (a *streamAnalysis) dispatch(w *figWindow) {
 // two-phase path uses, so results are bit-identical.
 func (a *streamAnalysis) finishRun(ctx context.Context) error {
 	rr := a.cfg.run
+	if a.compress == nil {
+		// The run ended before the sample filled, or before the sweep
+		// polled it: the same prefix is in the final log.
+		a.submitCompression(rr.Records())
+	}
 	a.eps = congestion.Detect(rr.Net.Stats(), a.top, congestion.DefaultThreshold, a.links)
 	a.epIdx = congestion.NewEpisodeIndex(a.eps)
 	a.binSize = rr.Net.Stats().BinSize()
@@ -887,10 +936,11 @@ func (a *streamAnalysis) mergeFigures(rep *Report) {
 	if rr := cfg.run; rr != nil {
 		rep.Overhead = rr.Collector.Overhead(a.duration)
 		// Replace the model's compression constant with the ratio
-		// actually achieved on this run's log sample.
-		if ratio, err := rr.Collector.MeasuredCompression(0); err == nil && ratio > 0 {
-			rep.Overhead.CompressionRatio = ratio
-			rep.Overhead.UploadBytesPerServerPerDay = rep.Overhead.LogBytesPerServerPerDay / ratio
+		// actually achieved on this run's log sample (the compression
+		// task's slot; the pool has drained).
+		if s := a.compress; s.err == nil && s.ratio > 0 {
+			rep.Overhead.CompressionRatio = s.ratio
+			rep.Overhead.UploadBytesPerServerPerDay = rep.Overhead.LogBytesPerServerPerDay / s.ratio
 		}
 	}
 

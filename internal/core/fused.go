@@ -25,9 +25,10 @@ func WithLiveBuffer(n int) AnalyzeOption {
 }
 
 // withLiveSource marks the analysis as the consumer half of a fused
-// pipeline (internal; set by RunAnalyze).
-func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
-	return func(c *analyzeConfig) { c.live = ls }
+// pipeline (internal; set by RunAnalyze). sample receives the run's
+// first trace.CompressionSample records once they are final.
+func withLiveSource(ls *trace.LiveSource, sample <-chan []trace.FlowRecord) AnalyzeOption {
+	return func(c *analyzeConfig) { c.live, c.sample = ls, sample }
 }
 
 // RunAnalyze fuses the simulate and analyze phases: it builds the
@@ -35,8 +36,10 @@ func withLiveSource(ls *trace.LiveSource) AnalyzeOption {
 // completed-flow records through a trace.LiveSource into AnalyzeSource
 // on the calling goroutine — the record-derived figures (2, 3/4, 9, 10,
 // 11, the incast record pass) compute while the simulation is still
-// producing, and only the run-derived work (congestion episodes,
-// Figures 5–8, attribution, tomography, overhead) waits for the drain.
+// producing, as does the §2 compression ratio once the run has logged
+// trace.CompressionSample records, and only the run-derived work
+// (congestion episodes, Figures 5–8, attribution, tomography, overhead)
+// waits for the drain.
 // End-to-end wall clock approaches max(simulate, analyze) instead of
 // their sum, and the report is bit-identical to Run followed by
 // AnalyzeRun at any analysis worker count (enforced by
@@ -63,7 +66,17 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 		return nil, nil, err
 	}
 	p.recordSink = live
-	p.rr.Collector.SetSink(live.Emit)
+	// The sink also hands the compression sample to the analysis the
+	// moment its last record is logged. The prefix is final then: the
+	// collector only appends, and the capped capacity keeps it so.
+	col := p.rr.Collector
+	sample := make(chan []trace.FlowRecord, 1)
+	col.SetSink(func(r trace.FlowRecord) {
+		live.Emit(r)
+		if n := col.NumRecords(); n == trace.CompressionSample {
+			sample <- col.Records()[:n:n]
+		}
+	})
 	live.Instrument(p.o.reg)
 
 	// Backstop: whatever path exits this function, no producer can stay
@@ -82,7 +95,7 @@ func RunAnalyze(ctx context.Context, cfg RunConfig, opts ...AnalyzeOption) (*Run
 	}()
 
 	analyzeOpts := append([]AnalyzeOption{WithRun(p.rr)}, opts...)
-	analyzeOpts = append(analyzeOpts, withLiveSource(live))
+	analyzeOpts = append(analyzeOpts, withLiveSource(live, sample))
 	rep, aerr := AnalyzeSource(ctx, live, analyzeOpts...)
 	if aerr != nil {
 		// Unblock and stop the producer, then join it.

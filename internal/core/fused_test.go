@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"dctraffic/internal/obs"
+	"dctraffic/internal/trace"
 )
 
 // fusedTestConfig is the shortened simulation the fused tests share.
@@ -75,6 +76,37 @@ func TestRunAnalyzeMatchesTwoPhase(t *testing.T) {
 		if got := reportDigest(t, rep); got != want {
 			t.Fatalf("seed %d: single-worker fused digest %s != two-phase %s", seed, got, want)
 		}
+	}
+}
+
+// TestRunAnalyzeCompressionSampleMidRun covers the mid-run compression
+// handoff: a run long enough to log more than trace.CompressionSample
+// records hands the sample to the analysis pool while it is still
+// simulating. The report must carry exactly the ratio
+// MeasuredCompression(0) measures on the finished run, and the fused
+// digest must equal the two-phase digest.
+func TestRunAnalyzeCompressionSampleMidRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 4 h simulation")
+	}
+	cfg := SmallRun()
+	cfg.Duration = 4 * time.Hour
+	rr, rep, err := RunAnalyze(context.Background(), cfg, WithParallelism(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rr.Collector.NumRecords(); n <= trace.CompressionSample {
+		t.Fatalf("run logged %d records, want more than the %d-record sample", n, trace.CompressionSample)
+	}
+	want, err := rr.Collector.MeasuredCompression(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Overhead.CompressionRatio; got != want {
+		t.Fatalf("report ratio %v, MeasuredCompression(0) %v", got, want)
+	}
+	if got, want := reportDigest(t, rep), reportDigest(t, mustAnalyze(t, rr, WithParallelism(1))); got != want {
+		t.Fatalf("fused digest %s != two-phase %s", got, want)
 	}
 }
 

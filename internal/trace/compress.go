@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
-	"encoding/json"
 	"fmt"
 	"io"
 )
@@ -15,11 +14,13 @@ import (
 func WriteJSONLGz(w io.Writer, records []FlowRecord) (raw, compressed int64, err error) {
 	cw := &countingWriter{w: w}
 	gz := gzip.NewWriter(cw)
-	enc := json.NewEncoder(&countingTee{w: gz, n: &raw})
+	var line []byte
 	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
+		line = appendLine(line[:0], &records[i])
+		if _, err := gz.Write(line); err != nil {
 			return 0, 0, fmt.Errorf("trace: encode record %d: %w", i, err)
 		}
+		raw += int64(len(line))
 	}
 	if err := gz.Close(); err != nil {
 		return 0, 0, fmt.Errorf("trace: close gzip: %w", err)
@@ -36,6 +37,12 @@ func ReadJSONLGz(r io.Reader) ([]FlowRecord, error) {
 	defer gz.Close()
 	return ReadJSONL(gz)
 }
+
+// CompressionSample is how many records, from the start of a run's
+// completion-order log, the §2 compression ratio is measured on: both
+// Collector.MeasuredCompression(0) and the analysis report compress
+// exactly this prefix (or the whole log when it is shorter).
+const CompressionSample = 100_000
 
 // MeasureCompression compresses the records to a byte sink and reports
 // the achieved ratio (raw/compressed). Used by the overhead report to
@@ -60,17 +67,5 @@ type countingWriter struct {
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
 	c.n += int64(n)
-	return n, err
-}
-
-// countingTee forwards to w while accumulating the byte count into n.
-type countingTee struct {
-	w io.Writer
-	n *int64
-}
-
-func (c *countingTee) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	*c.n += int64(n)
 	return n, err
 }

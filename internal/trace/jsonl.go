@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math"
+	"strconv"
 
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/topology"
@@ -14,11 +15,33 @@ import (
 // with `,"canceled":true` before the final brace for a canceled record,
 // no whitespace, and a terminating newline. I and U are JSON integers
 // (no leading zero, no fraction or exponent, and no "-0"); U is
-// unsigned; each is in range for its field's Go type. parseLine decodes
-// exactly these lines, without reflection, into the record
-// encoding/json would produce. Reader hands any other line, and the
-// rest of the stream after it, to a json.Decoder, so the fast path
-// changes no record and no error.
+// unsigned; each is in range for its field's Go type. appendLine
+// writes exactly these lines, the bytes json.Encoder would write, and
+// parseLine decodes exactly these lines into the record encoding/json
+// would produce, both without reflection. Reader hands any other line,
+// and the rest of the stream after it, to a json.Decoder, so the fast
+// path changes no record and no error.
+
+// appendLine appends rec's canonical line, newline included, to b. It
+// is the inverse of parseLine.
+func appendLine(b []byte, rec *FlowRecord) []byte {
+	b = strconv.AppendInt(append(b, `{"id":`...), int64(rec.ID), 10)
+	b = strconv.AppendInt(append(b, `,"src":`...), int64(rec.Src), 10)
+	b = strconv.AppendInt(append(b, `,"dst":`...), int64(rec.Dst), 10)
+	b = strconv.AppendUint(append(b, `,"sport":`...), uint64(rec.SrcPort), 10)
+	b = strconv.AppendUint(append(b, `,"dport":`...), uint64(rec.DstPort), 10)
+	b = strconv.AppendInt(append(b, `,"start":`...), int64(rec.Start), 10)
+	b = strconv.AppendInt(append(b, `,"end":`...), int64(rec.End), 10)
+	b = strconv.AppendInt(append(b, `,"bytes":`...), rec.Bytes, 10)
+	b = strconv.AppendInt(append(b, `,"tag":{"Job":`...), int64(rec.Tag.Job), 10)
+	b = strconv.AppendInt(append(b, `,"Phase":`...), int64(rec.Tag.Phase), 10)
+	b = strconv.AppendInt(append(b, `,"Vertex":`...), int64(rec.Tag.Vertex), 10)
+	b = strconv.AppendUint(append(b, `,"Kind":`...), uint64(rec.Tag.Kind), 10)
+	if rec.Canceled {
+		return append(b, `},"canceled":true}`+"\n"...)
+	}
+	return append(b, "}}\n"...)
+}
 
 // parseLine decodes one canonical line, newline included, into rec. It
 // reports false, leaving rec untouched, when line is not canonical.

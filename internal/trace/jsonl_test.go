@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -254,5 +255,82 @@ func FuzzReadJSONL(f *testing.F) {
 		got, gotErr := ReadJSONL(bytes.NewReader(data))
 		want, wantErr := referenceReadJSONL(bytes.NewReader(data))
 		checkSameRead(t, got, gotErr, want, wantErr)
+	})
+}
+
+// TestAppendLineMatchesEncoder pins the encoder to encoding/json: over
+// the extreme and random records, each line, the whole Writer stream
+// and the gzip byte counts are what a json.Encoder produces.
+func TestAppendLineMatchesEncoder(t *testing.T) {
+	recs := extremeRecords()
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for i := range recs {
+		start := want.Len()
+		if err := enc.Encode(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendLine(nil, &recs[i]); !bytes.Equal(got, want.Bytes()[start:]) {
+			t.Fatalf("record %d: appendLine = %q, json.Encoder = %q", i, got, want.Bytes()[start:])
+		}
+	}
+	var got bytes.Buffer
+	if err := WriteJSONL(&got, recs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("WriteJSONL output differs from json.Encoder")
+	}
+
+	// The gzip stream, and so the measured compression ratio, is the
+	// one json.Encoder's writes (one per record) produce.
+	var refComp bytes.Buffer
+	gz := gzip.NewWriter(&refComp)
+	enc = json.NewEncoder(gz)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var comp bytes.Buffer
+	raw, n, err := WriteJSONLGz(&comp, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if raw != int64(want.Len()) || n != int64(refComp.Len()) || !bytes.Equal(comp.Bytes(), refComp.Bytes()) {
+		t.Fatalf("WriteJSONLGz raw=%d comp=%d, json.Encoder raw=%d comp=%d", raw, n, want.Len(), refComp.Len())
+	}
+}
+
+// FuzzAppendLine checks appendLine against json.Marshal on arbitrary
+// field values.
+func FuzzAppendLine(f *testing.F) {
+	for _, r := range extremeRecords()[:4] {
+		f.Add(int64(r.ID), int64(r.Src), int64(r.Dst), r.SrcPort, r.DstPort, int64(r.Start), int64(r.End),
+			r.Bytes, int64(r.Tag.Job), int64(r.Tag.Phase), int64(r.Tag.Vertex), uint8(r.Tag.Kind), r.Canceled)
+	}
+	f.Fuzz(func(t *testing.T, id, src, dst int64, sport, dport uint16, start, end, nbytes, job, phase, vertex int64, kind uint8, canceled bool) {
+		r := FlowRecord{
+			ID: netsim.FlowID(id), Src: topology.ServerID(src), Dst: topology.ServerID(dst),
+			SrcPort: sport, DstPort: dport, Start: netsim.Time(start), End: netsim.Time(end), Bytes: nbytes,
+			Tag:      netsim.FlowTag{Job: int(job), Phase: int(phase), Vertex: int(vertex), Kind: netsim.FlowKind(kind)},
+			Canceled: canceled,
+		}
+		want, err := json.Marshal(&r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		got := appendLine([]byte("prefix"), &r)
+		if string(got) != "prefix"+string(want) {
+			t.Fatalf("appendLine = %q, json.Marshal = %q", got[len("prefix"):], want)
+		}
+		var back FlowRecord
+		if !parseLine(got[len("prefix"):], &back) || back != r {
+			t.Fatalf("parseLine(appendLine(r)) = %+v, want %+v", back, r)
+		}
 	})
 }

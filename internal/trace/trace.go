@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"dctraffic/internal/netsim"
 	"dctraffic/internal/obs"
@@ -80,7 +81,9 @@ type Config struct {
 	DiskBps float64
 
 	// CompressionRatio divides log bytes before upload. The paper
-	// measured at least 3x; default 3.5.
+	// measured at least 3x; default 3.5. It is the fallback for runs
+	// with no records: a run-backed analysis report replaces it with
+	// the gzip ratio measured on the run's log (MeasuredCompression).
 	CompressionRatio float64
 }
 
@@ -223,7 +226,11 @@ type Overhead struct {
 	LogBytesPerServerPerDay float64
 	// UploadBytesPerServerPerDay is after compression.
 	UploadBytesPerServerPerDay float64
-	// CompressionRatio echoes the model constant.
+	// CompressionRatio is what log bytes are divided by before upload.
+	// Collector.Overhead reports Config.CompressionRatio; every
+	// run-backed analysis report carries the gzip ratio measured on the
+	// run's first CompressionSample records instead, and derives
+	// UploadBytesPerServerPerDay from it.
 	CompressionRatio float64
 	// TotalEvents is the cluster-wide socket event count.
 	TotalEvents int64
@@ -268,23 +275,18 @@ func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	// insertion sort is fine for per-server arrays
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return s[len(s)/2]
 }
 
 // MeasuredCompression gzip-compresses a sample of the collected records
-// (up to limit; 0 means 100k) and returns the achieved ratio, grounding
-// the §2 "at least 3x" claim in this run's data. Returns 0 with no error
-// when nothing was collected.
+// (up to limit; 0 means CompressionSample) and returns the achieved
+// ratio, grounding the §2 "at least 3x" claim in this run's data.
+// Returns 0 with no error when nothing was collected.
 func (c *Collector) MeasuredCompression(limit int) (float64, error) {
 	if limit <= 0 {
-		limit = 100_000
+		limit = CompressionSample
 	}
 	recs := c.records
 	if len(recs) > limit {
@@ -298,20 +300,21 @@ func (c *Collector) MeasuredCompression(limit int) (float64, error) {
 // paper-scale trace never needs to be fully materialized in memory.
 // Call Flush when done.
 type Writer struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
-	n   int
+	bw   *bufio.Writer
+	line []byte // appendLine's reused buffer
+	n    int
 }
 
 // NewWriter returns a streaming JSONL trace writer over w.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{bw: bw, enc: json.NewEncoder(bw)}
+	return &Writer{bw: bufio.NewWriter(w)}
 }
 
-// Write appends one record to the stream.
+// Write appends one record to the stream as its canonical line
+// (jsonl.go), the bytes json.Encoder would write.
 func (w *Writer) Write(rec *FlowRecord) error {
-	if err := w.enc.Encode(rec); err != nil {
+	w.line = appendLine(w.line[:0], rec)
+	if _, err := w.bw.Write(w.line); err != nil {
 		return fmt.Errorf("trace: encode record %d: %w", w.n, err)
 	}
 	w.n++
